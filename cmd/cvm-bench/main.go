@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		scaleJSON = fs.String("scale-json", "BENCH_scaleout.json",
 			"output path for the scaleout experiment's JSON baseline")
 		scaleWorkers = fs.Int("scale-workers", 4,
-			"conservative-engine workers for the scaleout experiment (0 = sequential engine)")
+			"DES engine worker threads for the scaleout experiment (>= 1; results are identical at any count)")
 
 		metricsOut  = fs.String("metrics", "", "write the aggregated metrics JSON report of the fig1/table2/table3/fig2 grid to this file")
 		showReport  = fs.Bool("report", false, "print the aggregated metrics profile of the fig1/table2/table3/fig2 grid")
@@ -71,6 +71,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *metricsBin < 0 {
 		return fmt.Errorf("-metrics-interval must be >= 0, got %v", *metricsBin)
+	}
+	if *scaleWorkers < 1 {
+		return fmt.Errorf("-scale-workers must be >= 1, got %d", *scaleWorkers)
 	}
 	if *metricsTopN < 1 {
 		return fmt.Errorf("-metrics-top must be >= 1, got %d", *metricsTopN)

@@ -17,6 +17,7 @@ func TestFlagValidation(t *testing.T) {
 		{"negative metrics-interval", []string{"-metrics-interval", "-1ms", "-report"}, "-metrics-interval"},
 		{"malformed metrics-interval", []string{"-metrics-interval", "x"}, "invalid value"},
 		{"zero metrics-top", []string{"-metrics-top", "0", "-report"}, "-metrics-top"},
+		{"zero scale-workers", []string{"-experiment", "scaleout", "-scale-workers", "0"}, "-scale-workers must be >= 1"},
 		{"metrics without grid", []string{"-experiment", "table4", "-metrics", "m.json"}, "does not run it"},
 		{"report without grid", []string{"-experiment", "perf", "-report"}, "does not run it"},
 	} {

@@ -14,6 +14,7 @@ import (
 	"cvm/internal/core"
 	"cvm/internal/harness"
 	"cvm/internal/memsim"
+	"cvm/internal/netsim"
 	"cvm/internal/sim"
 )
 
@@ -66,8 +67,8 @@ func runPerf(out io.Writer, size apps.Size, workers int, jsonPath string, progre
 		return fmt.Errorf("cvm-bench: parallel grid results differ from sequential (determinism violation)")
 	}
 
-	// Intra-run parallelism: the same small grid on the conservative
-	// windowed engine, one worker vs engineWorkers workers. Unlike the
+	// Intra-run parallelism: the same small grid at one engine worker
+	// vs engineWorkers workers. Unlike the
 	// grid pool (independent simulations per core), this parallelizes
 	// inside each simulation, so it is gated on byte-identical Results.
 	const engineWorkers = 4
@@ -76,7 +77,7 @@ func runPerf(out io.Writer, size apps.Size, workers int, jsonPath string, progre
 	engineMut := func(w int) func(harness.Key, *cvm.Config) {
 		return func(_ harness.Key, cfg *cvm.Config) { cfg.EngineWorkers = w }
 	}
-	fmt.Fprintf(out, "perf: engine grid %d apps, windowed engine 1 worker...\n", len(engineNames))
+	fmt.Fprintf(out, "perf: engine grid %d apps, 1 engine worker...\n", len(engineNames))
 	t0 = time.Now()
 	eseq, err := harness.RunGridConfig(engineNames, size, engineShapes, engineMut(1), progress, 1)
 	if err != nil {
@@ -100,7 +101,7 @@ func runPerf(out io.Writer, size apps.Size, workers int, jsonPath string, progre
 	b.Engine.Speedup = eseqDur.Seconds() / eparDur.Seconds()
 	b.Engine.Identical = eseq.Equal(epar)
 	if !b.Engine.Identical {
-		return fmt.Errorf("cvm-bench: windowed engine results differ between 1 and %d workers (determinism violation)", engineWorkers)
+		return fmt.Errorf("cvm-bench: engine results differ between 1 and %d workers (determinism violation)", engineWorkers)
 	}
 
 	b.Micro = append(b.Micro,
@@ -418,6 +419,10 @@ func benchSpanSORRow(span bool) testing.BenchmarkResult {
 	})
 }
 
+// engineLookahead is the window width of the engine kernels: the
+// default interconnect's one-way latency lower bound, as in a cluster.
+var engineLookahead = netsim.DefaultParams().Lookahead()
+
 // benchEngineEventHeap measures the engine's event heap through the
 // public API: one task pushes a standing population of timed events that
 // the run loop pops in time order — the delivery pattern of netsim.
@@ -425,7 +430,7 @@ func benchEngineEventHeap() testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := sim.NewEngine()
+			eng := sim.NewEngine(1, engineLookahead)
 			p := eng.AddProc(0)
 			eng.Spawn(p, "pusher", func(t *sim.Task) {
 				nop := func() {}
@@ -449,7 +454,7 @@ func benchEngineSpawnWake() testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := sim.NewEngine()
+			eng := sim.NewEngine(1, engineLookahead)
 			p := eng.AddProc(0)
 			const rounds = 256
 			var a, z *sim.Task

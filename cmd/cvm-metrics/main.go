@@ -201,7 +201,7 @@ func comparePerf(base, cur []byte, tol float64) ([]metrics.Finding, error) {
 	if c.Engine.Workers > 0 && !c.Engine.Identical {
 		findings = append(findings, metrics.Finding{
 			Level: metrics.LevelFail, Path: "engine/results_identical",
-			Msg: "windowed engine results differ across worker counts (determinism violation)",
+			Msg: "engine results differ across worker counts (determinism violation)",
 		})
 	}
 	baseMicro := make(map[string]harness.MicroResult, len(b.Micro))

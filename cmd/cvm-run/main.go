@@ -81,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		metricsBin  = fs.Duration("metrics-interval", 0, "utilization-timeline bin width in virtual time (0 = default 10ms)")
 		metricsTopN = fs.Int("metrics-top", 10, "rows kept in the hot-page and hot-lock tables")
 
-		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
+		engineWorkers = fs.Int("engine-workers", 1, "OS worker threads the simulator's DES engine runs nodes on (>= 1; results are identical at any count)")
 		compressDiffs = fs.Bool("compress-diffs", false, "account diff messages at their compressed wire size (simulator only; the real transport always compresses)")
 		adapt         = fs.Bool("adapt", false, "enable per-page adaptive coherence (invalidate/update and single-/multi-writer mode switching)")
 		migrate       = fs.Bool("migrate", false, "enable affinity-driven thread migration (apps must be migration-safe; see -app docs)")
@@ -107,8 +107,8 @@ func run(args []string, out io.Writer) error {
 	if *metricsTopN < 1 {
 		return fmt.Errorf("-metrics-top must be >= 1, got %d", *metricsTopN)
 	}
-	if *engineWorkers < 0 {
-		return fmt.Errorf("-engine-workers must be >= 0, got %d", *engineWorkers)
+	if *engineWorkers < 1 {
+		return fmt.Errorf("-engine-workers must be >= 1, got %d", *engineWorkers)
 	}
 	var fp *cvm.FaultPlan
 	if *faults != "" {
@@ -150,7 +150,9 @@ func run(args []string, out io.Writer) error {
 		if fp != nil {
 			return fmt.Errorf("-transport loopback cannot inject simulated faults; drop -faults")
 		}
-		if *engineWorkers > 0 {
+		workersSet := false
+		fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "engine-workers" })
+		if workersSet {
 			return fmt.Errorf("-engine-workers tunes the simulator's DES engine; drop it with -transport loopback")
 		}
 		if *compressDiffs {
@@ -198,16 +200,13 @@ func run(args []string, out io.Writer) error {
 	// every cell; each cell's schedule is keyed on its own simulation
 	// state, so the sweep stays deterministic at any -parallel level.
 	shapes := harness.GridShapes([]int{*nodes}, levels)
-	var mut func(harness.Key, *cvm.Config)
-	if fp != nil || *engineWorkers > 0 || *compressDiffs || *adapt || *migrate {
-		ew, comp, ad, mig := *engineWorkers, *compressDiffs, *adapt, *migrate
-		mut = func(_ harness.Key, cfg *cvm.Config) {
-			cfg.Faults = fp
-			cfg.EngineWorkers = ew
-			cfg.CompressDiffs = comp
-			cfg.Adapt = ad
-			cfg.Migrate = mig
-		}
+	ew, comp, ad, mig := *engineWorkers, *compressDiffs, *adapt, *migrate
+	mut := func(_ harness.Key, cfg *cvm.Config) {
+		cfg.Faults = fp
+		cfg.EngineWorkers = ew
+		cfg.CompressDiffs = comp
+		cfg.Adapt = ad
+		cfg.Migrate = mig
 	}
 	res, err := harness.RunGridConfig([]string{*appName}, sz, shapes, mut, nil, *parallel)
 	if err != nil {

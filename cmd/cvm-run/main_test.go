@@ -41,7 +41,10 @@ func TestFlagValidation(t *testing.T) {
 		{"loopback with check", []string{"-transport", "loopback", "-check"}, "virtual-time invariant checker"},
 		{"loopback with metrics interval", []string{"-transport", "loopback", "-metrics-interval", "1ms"}, "virtual-time timeline"},
 		{"loopback with faults", []string{"-transport", "loopback", "-faults", "drop=0.01"}, "cannot inject simulated faults"},
+		{"zero engine workers", []string{"-engine-workers", "0"}, "-engine-workers must be >= 1"},
+		{"negative engine workers", []string{"-engine-workers", "-2"}, "-engine-workers must be >= 1"},
 		{"loopback with engine workers", []string{"-transport", "loopback", "-engine-workers", "2"}, "-engine-workers tunes the simulator"},
+		{"loopback with explicit default engine workers", []string{"-transport", "loopback", "-engine-workers", "1"}, "-engine-workers tunes the simulator"},
 		{"loopback with compress-diffs", []string{"-transport", "loopback", "-compress-diffs"}, "-compress-diffs tunes the simulator"},
 		{"loopback with sweep", []string{"-transport", "loopback", "-threads", "1,2"}, "single -threads level"},
 	} {

@@ -53,7 +53,7 @@ func run(args []string, out io.Writer) error {
 		report  = fs.Bool("report", false, "print the latency report (p50/p95/p99 per event class)")
 		limit   = fs.Int("limit", 0, "per-node event ring bound (0 = unbounded; oldest events drop first)")
 
-		engineWorkers = fs.Int("engine-workers", 0, "conservative parallel engine worker count (0 = sequential engine)")
+		engineWorkers = fs.Int("engine-workers", 1, "OS worker threads the simulator's DES engine runs nodes on (>= 1; the trace is identical at any count)")
 
 		faults    = fs.String("faults", "", "deterministic fault spec, e.g. 'drop=0.01,dup=0.001' (injected events appear in the trace)")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-schedule seed (same spec + seed = same schedule, byte for byte)")
@@ -71,8 +71,8 @@ func run(args []string, out io.Writer) error {
 	if *nodes < 1 || *threads < 1 {
 		return fmt.Errorf("-nodes and -threads must be >= 1, got %d and %d", *nodes, *threads)
 	}
-	if *engineWorkers < 0 {
-		return fmt.Errorf("-engine-workers must be >= 0, got %d", *engineWorkers)
+	if *engineWorkers < 1 {
+		return fmt.Errorf("-engine-workers must be >= 1, got %d", *engineWorkers)
 	}
 	var fp *cvm.FaultPlan
 	if *faults != "" {

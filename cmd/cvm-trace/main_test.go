@@ -22,6 +22,7 @@ func TestFlagValidation(t *testing.T) {
 		{"nothing to do", []string{"-app", "sor"}, "nothing to do"},
 		{"bad fault spec", []string{"-report", "-faults", "dup=x"}, "dup"},
 		{"seed without faults", []string{"-report", "-fault-seed", "3"}, "-fault-seed needs -faults"},
+		{"zero engine workers", []string{"-report", "-engine-workers", "0"}, "-engine-workers must be >= 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -7,8 +7,9 @@ import (
 )
 
 // TestWindowedSmoke is the cheap in-package determinism smoke for the
-// conservative windowed engine: one real application at several worker
-// counts must agree on wall time and checksum exactly. The full
+// windowed DES engine: one real application at several worker counts
+// must pass its sequential-reference check (RunConfigFull fails on a
+// mismatch) and agree on wall time and checksum exactly. The full
 // byte-level guard (metrics reports, Chrome traces, fault schedules)
 // lives in internal/harness and internal/chaos.
 func TestWindowedSmoke(t *testing.T) {

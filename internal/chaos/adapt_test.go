@@ -10,11 +10,10 @@ import (
 
 // TestAdaptiveUnderChaos is the adaptive axis of the chaos suite: fuzzed
 // fault schedules against runs with per-page mode switching (and, for
-// migration-safe apps, thread migration) enabled, across the sequential
-// engine and the windowed engine at several worker counts. Adaptation
-// must not change the computation (fault-free checksum, bit for bit),
-// must stay invariant-clean under faults, and the windowed runs must
-// agree with each other on every statistic — mode decisions and
+// migration-safe apps, thread migration) enabled, at several engine
+// worker counts. Adaptation must not change the computation (fault-free
+// checksum, bit for bit), must stay invariant-clean under faults, and
+// the runs must agree with each other on every statistic — mode decisions and
 // migration orders are functions of per-epoch protocol observations,
 // so engine parallelism and retransmission timing must not leak in.
 func TestAdaptiveUnderChaos(t *testing.T) {
@@ -30,7 +29,7 @@ func TestAdaptiveUnderChaos(t *testing.T) {
 			spec := RandomSpec(seed)
 			fp := mustPlan(t, spec, seed)
 			var first *Result
-			for _, workers := range []int{0, 1, 2, 4} {
+			for _, workers := range []int{1, 2, 4} {
 				res, err := RunOneAdaptive(tc.app, apps.SizeTest, chaosNodes, chaosThreads,
 					workers, tc.migrate, fp, nil)
 				ctx := fmt.Sprintf("%s adapt migrate=%v spec=%q seed=%d engine-workers=%d",
@@ -42,9 +41,6 @@ func TestAdaptiveUnderChaos(t *testing.T) {
 				if err == nil && res.Stats.Total.ModeChanges == 0 {
 					t.Errorf("%s: adaptive run applied no mode changes (axis not exercised)", ctx)
 				}
-				if workers == 0 {
-					continue // sequential timing may differ from windowed
-				}
 				if first == nil {
 					r := res
 					first = &r
@@ -53,7 +49,7 @@ func TestAdaptiveUnderChaos(t *testing.T) {
 				if res.Stats.Wall != first.Stats.Wall ||
 					res.Stats.Total != first.Stats.Total ||
 					!res.Stats.Net.Equal(first.Stats.Net) {
-					t.Errorf("%s: windowed stats diverge from workers=1", ctx)
+					t.Errorf("%s: stats diverge from workers=1", ctx)
 				}
 			}
 		}
@@ -68,7 +64,7 @@ func TestAdaptiveFaultFree(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			res, err := RunOneAdaptive(app, apps.SizeTest, chaosNodes, chaosThreads,
-				0, true, nil, nil)
+				1, true, nil, nil)
 			assertClean(t, app, "adapt fault-free", res, err)
 		})
 	}

@@ -38,17 +38,15 @@ type Result struct {
 // reg, when non-nil, additionally collects metrics (one registry per
 // run). A nil fp is the fault-free baseline.
 func RunOne(name string, size apps.Size, nodes, threads int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
-	return RunOneEngine(name, size, nodes, threads, 0, fp, reg)
+	return RunOneEngine(name, size, nodes, threads, 1, fp, reg)
 }
 
-// RunOneEngine is RunOne with an explicit discrete-event execution mode:
-// engineWorkers 0 runs the sequential engine, ≥ 1 the conservative
-// windowed parallel engine at that worker count. The invariant checker
-// observes the run through the engine's trace path (under the windowed
-// engine that is the per-window demultiplexer, so events arrive in
-// canonical order), making fault schedules an engine-parallelism
-// determinism probe: rolls consume PRNG state in delivery order, so a
-// nondeterministic commit would diverge visibly.
+// RunOneEngine is RunOne with an explicit engine worker count (≥ 1). The
+// invariant checker observes the run through the engine's trace path —
+// the per-window demultiplexer, so events arrive in canonical order —
+// making fault schedules an engine-parallelism determinism probe: rolls
+// consume PRNG state in delivery order, so a nondeterministic commit
+// would diverge visibly.
 func RunOneEngine(name string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan, reg *cvm.Metrics) (Result, error) {
 	return runOne(name, size, nodes, threads, engineWorkers, false, false, fp, reg)
 }

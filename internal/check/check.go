@@ -106,8 +106,9 @@ type localBarrierState struct {
 }
 
 // Checker audits a protocol event stream. It implements trace.Tracer.
-// Like the Recorder, it relies on the simulator's sequential dispatch
-// and must not be shared between concurrently running systems.
+// Like the Recorder, it expects events one at a time — the simulator
+// releases them through its per-window trace demultiplexer — and must
+// not be shared between concurrently running systems.
 type Checker struct {
 	nodes   int
 	threads int // per node

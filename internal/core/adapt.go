@@ -503,7 +503,7 @@ func (o *adaptObs) wireBytes() int {
 // adaptController owns all cluster-level adaptation state. It is
 // touched exclusively from the barrier manager's (node 0's) engine
 // context — observation ingestion at arrivals, decisions at
-// completions — so it needs no locking under the windowed engine.
+// completions — so it needs no locking at any engine worker count.
 type adaptController struct {
 	sys  *System
 	tune AdaptTuning

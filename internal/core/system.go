@@ -66,15 +66,12 @@ type Config struct {
 	// metrics on or off. A Registry serves exactly one System.
 	Metrics *metrics.Registry
 
-	// EngineWorkers selects the discrete-event execution mode. 0 (the
-	// default) is the classic sequential global-horizon loop. Any value
-	// ≥ 1 switches to the conservative windowed engine, which partitions
-	// event execution by node and advances all nodes window by window,
-	// with windows derived from the network's one-way latency lower
-	// bound; values > 1 dispatch the nodes of each window across that
-	// many OS workers. Results are byte-identical at every worker count
-	// (the windowed schedule itself, not the worker count, is what can
-	// shift timing relative to mode 0 — see DESIGN.md §10).
+	// EngineWorkers is the number of OS threads the discrete-event
+	// engine runs nodes on (≥ 1). The engine partitions event execution
+	// by node and advances all nodes window by window, with windows
+	// derived from the network's one-way latency lower bound; each
+	// window's nodes are spread across EngineWorkers workers. Results
+	// are byte-identical at every worker count (see DESIGN.md §10).
 	EngineWorkers int
 
 	// CompressDiffs switches netsim byte accounting for diff replies to
@@ -148,6 +145,7 @@ func DefaultConfig(nodes, threadsPerNode int) Config {
 		LocalBarrierCost: 5 * sim.Microsecond,
 		DiffServeCost:    10 * sim.Microsecond,
 		DiffCreateCost:   40 * sim.Microsecond,
+		EngineWorkers:    1,
 	}
 }
 
@@ -160,6 +158,8 @@ func (c *Config) Validate() error {
 		return errors.New("core: ThreadsPerNode must be ≥ 1")
 	case c.PageSize < 64 || c.PageSize&(c.PageSize-1) != 0:
 		return fmt.Errorf("core: PageSize %d must be a power of two ≥ 64", c.PageSize)
+	case c.EngineWorkers < 1:
+		return fmt.Errorf("core: EngineWorkers %d must be ≥ 1", c.EngineWorkers)
 	}
 	if (c.Adapt || c.Migrate) && c.Protocol != ProtocolLRC {
 		return errors.New("core: Adapt/Migrate require the multi-writer LRC protocol")
@@ -195,14 +195,13 @@ type System struct {
 	started bool
 	t0      sim.Time
 
-	// pendingReset defers a MarkSteadyState issued inside a parallel
-	// window to the next window commit; -1 means none pending.
+	// pendingReset defers a MarkSteadyState issued inside a window to
+	// the next window commit; -1 means none pending.
 	pendingReset sim.Time
 
-	// tracer mirrors cfg.Tracer; hot paths nil-check this field.
-	// Under the windowed engine it points at demux, which buffers
-	// per-node and releases to cfg.Tracer in canonical order at every
-	// window commit.
+	// tracer is nil when cfg.Tracer is; hot paths nil-check this field.
+	// Otherwise it points at demux, which buffers per-node and releases
+	// to cfg.Tracer in canonical order at every window commit.
 	tracer trace.Tracer
 	demux  *trace.Demux
 
@@ -218,7 +217,7 @@ type System struct {
 	// adapt is the adaptive-coherence controller, non-nil only when
 	// cfg.Adapt or cfg.Migrate is set. It runs exclusively in the
 	// barrier manager's (node 0's) engine context, so it needs no
-	// locking under the windowed engine.
+	// locking at any engine worker count.
 	adapt *adaptController
 
 	// byTask maps engine task IDs to threads. Task IDs equal spawn
@@ -239,17 +238,25 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:          cfg,
 		pageShift:    log2(cfg.PageSize),
-		tracer:       cfg.Tracer,
 		met:          cfg.Metrics,
 		pendingReset: -1,
 	}
-	s.engv.Init()
+	// Per-node work runs inside lookahead-bounded windows and cross-node
+	// messages defer to the window commit. The lookahead is the
+	// interconnect's one-way latency lower bound, which every protocol
+	// interaction pays before touching another node.
+	s.engv.Init(cfg.EngineWorkers, cfg.Net.Lookahead())
 	s.eng = &s.engv
 	s.netv.Init(s.eng, cfg.Nodes, cfg.Net)
 	s.net = &s.netv
 	s.fab = s.net
 	eng := s.eng
-	s.net.SetTracer(cfg.Tracer)
+	eng.SetWindowHook(s.commitWindow)
+	if cfg.Tracer != nil {
+		s.demux = trace.NewDemux(cfg.Nodes, cfg.Tracer)
+		s.tracer = s.demux
+		s.net.SetTracer(s.demux)
+	}
 	if s.met != nil {
 		classes := netsim.Classes()
 		if !cfg.Adapt && !cfg.Migrate {
@@ -289,21 +296,6 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		for _, sl := range fp.Slowdowns {
 			s.nodes[sl.Node].proc.InjectSlowdown(sl.From, sl.To, sl.Factor)
-		}
-	}
-	if cfg.EngineWorkers > 0 {
-		// Conservative windowed parallel engine: per-node work runs
-		// concurrently inside lookahead-bounded windows, cross-node
-		// messages defer to the window commit. The lookahead is the
-		// interconnect's one-way latency lower bound, which every
-		// protocol interaction pays before touching another node.
-		eng.SetConservative(cfg.EngineWorkers, cfg.Net.Lookahead())
-		eng.SetWindowHook(s.commitWindow)
-		s.net.SetDeferred(true)
-		if s.tracer != nil {
-			s.demux = trace.NewDemux(cfg.Nodes, s.tracer)
-			s.tracer = s.demux
-			s.net.SetTracer(s.demux)
 		}
 	}
 	if cfg.Adapt || cfg.Migrate {
@@ -485,23 +477,18 @@ func threadName(i, j int) string {
 // the run. Applications call it from one thread immediately after their
 // initialization barrier, mirroring the paper's exclusion of startup.
 func (t *Thread) MarkSteadyState() {
+	// Other nodes are mid-window; defer the reset to the next window
+	// commit, where the engine is quiescent. The reset instant recorded
+	// is still this thread's call time, so t0 and the metrics epoch are
+	// exact.
 	s := t.sys
-	if s.cfg.EngineWorkers > 0 {
-		// Other procs are mid-window; defer the reset to the next
-		// window commit, where the engine is quiescent. The reset
-		// instant recorded is still this thread's call time, so t0 and
-		// the metrics epoch match the sequential semantics.
-		if s.pendingReset < 0 || t.task.Now() < s.pendingReset {
-			s.pendingReset = t.task.Now()
-		}
-		return
+	if s.pendingReset < 0 || t.task.Now() < s.pendingReset {
+		s.pendingReset = t.task.Now()
 	}
-	s.applySteadyReset(t.task.Now())
 }
 
 // applySteadyReset performs the MarkSteadyState reset with the engine
-// quiescent (thread context in sequential mode, the window commit in
-// windowed mode).
+// quiescent (the window commit).
 func (s *System) applySteadyReset(t0 sim.Time) {
 	s.t0 = t0
 	s.net.ResetStats()

@@ -117,8 +117,8 @@ func newTransport(s *System, rto sim.Time, maxRetries int) *reliable {
 		maxRetries: maxRetries,
 		chans:      make([]*tchan, s.cfg.Nodes*s.cfg.Nodes),
 	}
-	// Channels are created eagerly so the windowed engine never
-	// allocates one from two procs concurrently; each tchan's fields
+	// Channels are created eagerly so concurrent engine workers never
+	// allocate one from two procs at once; each tchan's fields
 	// are then owned by exactly one proc (sender side by `from`,
 	// dedupe side by `to`), with the inter-window barrier ordering the
 	// cross-side seq handoff.

@@ -11,8 +11,8 @@ import (
 	"cvm/internal/trace"
 )
 
-// The determinism guard is the conservative parallel engine's safety
-// net: it proves that the windowed engine produces byte-identical
+// The determinism guard is the parallel engine's safety net: it proves
+// that the DES engine produces byte-identical
 // results at every worker count by running the same workload under a
 // sweep of Config.EngineWorkers values and comparing every observable
 // artifact — application checksum, run statistics, the serialized
@@ -32,8 +32,8 @@ type DeterminismProbe struct {
 	Events        int    // trace events recorded
 }
 
-// RunDeterminismProbe executes one run on the windowed engine with the
-// given worker count (engineWorkers ≥ 1) and collects its artifacts.
+// RunDeterminismProbe executes one run with the given engine worker
+// count (engineWorkers ≥ 1) and collects its artifacts.
 // fp may be nil for a fault-free run.
 func RunDeterminismProbe(app string, size apps.Size, nodes, threads, engineWorkers int, fp *cvm.FaultPlan) (*DeterminismProbe, error) {
 	return runDeterminismProbe(app, size, nodes, threads, engineWorkers, false, fp)

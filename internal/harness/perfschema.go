@@ -14,8 +14,7 @@ type PerfBaseline struct {
 	Grid PerfGrid `json:"grid"`
 
 	// Engine is the intra-run parallelism section: the same small grid
-	// on the conservative windowed engine at 1 worker and at
-	// Engine.Workers workers, with byte-identical results required.
+	// at 1 engine worker and at Engine.Workers workers, with byte-identical results required.
 	Engine PerfEngine `json:"engine"`
 
 	// Phases are the perf experiment's per-phase host wall times, each
@@ -40,7 +39,7 @@ type DiffWireResult struct {
 	Ratio        float64 `json:"ratio"`
 }
 
-// PerfEngine is the conservative-windowed-engine portion of a perf
+// PerfEngine is the engine-parallelism portion of a perf
 // baseline. Speedup compares one engine worker against Workers engine
 // workers on the same host; on a single-core host it records the
 // window-coordination overhead rather than a speedup (see DESIGN §6).

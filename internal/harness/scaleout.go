@@ -84,8 +84,7 @@ func WriteScaleBaseline(w io.Writer, b *ScaleBaseline) error {
 
 // RunScaleStudy runs the scaleout application across the given node
 // counts (threadsPerNode threads each), once per compression setting,
-// on the conservative windowed engine with engineWorkers workers
-// (0 = sequential engine). Points run sequentially — heap measurement
+// with engineWorkers DES engine workers (≥ 1). Points run sequentially — heap measurement
 // needs the run to own the process — in deterministic order.
 func RunScaleStudy(nodeCounts []int, threadsPerNode int, size apps.Size,
 	compress []bool, engineWorkers int, progress io.Writer) (*ScaleBaseline, error) {

@@ -8,44 +8,35 @@ import (
 )
 
 // TestScaleSmoke is the `make scale-smoke` gate: a 256-node scaleout run
-// must complete on the conservative windowed engine, reproduce the
-// sequential engine's checksum (the repo-wide correctness oracle; the
-// two engines legally differ in same-timestamp tie order, so virtual
-// timings may drift), and be byte-identical — checksum, statistics,
-// metrics report, trace — across windowed worker counts. This is the
-// determinism guard at a cluster size far past anything the paper grid
-// exercises (and past the old 64-node copyset ceiling).
+// must complete, pass the app's own checksum validation (its closed-form
+// result stands in for a sequential reference), and be byte-identical —
+// checksum, statistics, metrics report, trace — across engine worker
+// counts. This is the determinism guard at a cluster size far past
+// anything the paper grid exercises (and past the old 64-node copyset
+// ceiling).
 func TestScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node smoke skipped in -short")
 	}
 	if raceEnabled {
-		// ~10x slowdown at this size; the windowed engine's goroutines
-		// get race coverage from TestGuardDeterminism at small sizes.
+		// ~10x slowdown at this size; the engine's worker goroutines get
+		// race coverage from TestGuardDeterminism at small sizes.
 		t.Skip("256-node smoke skipped under the race detector")
 	}
 	const nodes, threads = 256, 1
-	// Engine workers 0 is the sequential engine, the correctness oracle.
-	seq, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if base.Checksum != seq.Checksum {
-		t.Fatalf("windowed engine checksum %v, sequential %v", base.Checksum, seq.Checksum)
 	}
 	p, err := RunDeterminismProbe("scaleout", apps.SizeTest, nodes, threads, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := base.diff(p); err != nil {
-		t.Fatalf("windowed engine workers 1 vs 2 diverged: %v", err)
+		t.Fatalf("engine workers 1 vs 2 diverged: %v", err)
 	}
-	if seq.Stats.Total.RemoteFaults == 0 || seq.Stats.Total.RemoteLocks == 0 {
-		t.Errorf("smoke run exercised no remote primitives: %+v", seq.Stats.Total)
+	if base.Stats.Total.RemoteFaults == 0 || base.Stats.Total.RemoteLocks == 0 {
+		t.Errorf("smoke run exercised no remote primitives: %+v", base.Stats.Total)
 	}
 }
 

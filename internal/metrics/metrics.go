@@ -368,8 +368,8 @@ type Registry struct {
 
 	// shards hold the observations that hot paths attribute to a known
 	// node: wait attribution, timeline clipping, and transport counters.
-	// Keeping them per node lets the conservative windowed engine observe
-	// from concurrent per-node workers without locks; Snapshot folds the
+	// Keeping them per node lets the engine's concurrent per-node
+	// workers observe without locks; Snapshot folds the
 	// shards in node order, and every fold operation is commutative, so
 	// the folded snapshot is byte-identical at any worker count.
 	shards []regShard

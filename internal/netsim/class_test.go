@@ -44,12 +44,9 @@ func TestClassesCoverage(t *testing.T) {
 // each is tallied in its own slot — not just the classes the protocol
 // happens to exercise most.
 func TestAllClassesAccounted(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
-	p0 := eng.AddProc(0)
-	eng.AddProc(0)
+	eng, nw, procs := newTestNet(2, 0)
 	classes := Classes()
-	eng.Spawn(p0, "t", func(tk *sim.Task) {
+	eng.Spawn(procs[0], "t", func(tk *sim.Task) {
 		for i, c := range classes {
 			nw.SendFromTask(tk, 0, 1, c, 10*(i+1), func() {})
 		}

@@ -155,12 +155,12 @@ func (n *Network) nextChanIdx(from, to NodeID) uint64 {
 	return idx
 }
 
-// faultedSend routes one departing message through the fault model:
+// faultedSend routes one committed message through the fault model:
 // possibly dropping it, delaying it (jitter/reorder), or delivering it
-// twice. sched schedules the delivery in the caller's context
-// (Task.Schedule from task sends, Engine.Schedule from handler sends).
-func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, bytes int, deliver func(), sched func(sim.Time, func())) {
+// twice.
+func (n *Network) faultedSend(limit sim.Time, from NodeID, m *wireMsg) {
 	f := n.faults
+	depart, to, class, bytes := m.depart, m.to, m.class, m.bytes
 	idx := n.nextChanIdx(from, to)
 
 	if p := f.Drop[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDrop)) < p {
@@ -176,7 +176,7 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 		extra += f.ReorderDelay
 		n.fstats.Reordered++
 	}
-	sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+	n.schedule(limit, from, m, n.arrival(depart, from, to, class, bytes, extra))
 
 	if p := f.Dup[class]; p > 0 && unit(faultRoll(f.Seed, from, to, idx, streamDup)) < p {
 		n.fstats.Dupped++
@@ -192,7 +192,7 @@ func (n *Network) faultedSend(depart sim.Time, from, to NodeID, class Class, byt
 		}
 		// The replica is a second physical message: it pays its own wire,
 		// ingress, and accounting, and delivers under its own id.
-		sched(n.arrival(depart, from, to, class, bytes, extra), deliver)
+		n.schedule(limit, from, m, n.arrival(depart, from, to, class, bytes, extra))
 	}
 }
 

@@ -12,15 +12,13 @@ import (
 // returns the delivery times in handler order.
 func sendN(t *testing.T, f *FaultParams, n int) (delivered []sim.Time, fs FaultStats) {
 	t.Helper()
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
+	eng, nw, procs := newTestNet(2, 0)
 	nw.SetFaults(f)
-	p := eng.AddProc(0)
-	eng.AddProc(0)
+	p := procs[0]
 	eng.Spawn(p, "sender", func(tk *sim.Task) {
 		for i := 0; i < n; i++ {
 			nw.SendFromTask(tk, 0, 1, ClassDiff, 64, func() {
-				delivered = append(delivered, eng.Now())
+				delivered = append(delivered, procs[1].LocalNow())
 			})
 			tk.Advance(10 * us)
 		}
@@ -71,11 +69,9 @@ func TestFaultsReorderOvertakes(t *testing.T) {
 	for c := range f.Reorder {
 		f.Reorder[c] = 0.2
 	}
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
+	eng, nw, procs := newTestNet(2, 0)
 	nw.SetFaults(f)
-	p := eng.AddProc(0)
-	eng.AddProc(0)
+	p := procs[0]
 	var order []int // send indices in delivery order
 	eng.Spawn(p, "sender", func(tk *sim.Task) {
 		for i := 0; i < 200; i++ {
@@ -182,8 +178,7 @@ func TestFaultsValidate(t *testing.T) {
 }
 
 func TestFaultsTraceAndCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
+	eng, nw, procs := newTestNet(2, 0)
 	rec := trace.NewRecorder(2, 1, 0)
 	nw.SetTracer(rec)
 	var dropped, dupped metrics.Counter
@@ -193,9 +188,7 @@ func TestFaultsTraceAndCounters(t *testing.T) {
 		f.Drop[c], f.Dup[c] = 0.2, 0.2
 	}
 	nw.SetFaults(f)
-	p := eng.AddProc(0)
-	eng.AddProc(0)
-	eng.Spawn(p, "sender", func(tk *sim.Task) {
+	eng.Spawn(procs[0], "sender", func(tk *sim.Task) {
 		for i := 0; i < 200; i++ {
 			nw.SendFromTask(tk, 0, 1, ClassLock, 16, func() {})
 			tk.Advance(us)

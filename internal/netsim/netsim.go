@@ -10,8 +10,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cvm/internal/metrics"
 	"cvm/internal/sim"
@@ -138,18 +139,15 @@ type Network struct {
 	fstats            FaultStats
 	cDropped, cDupped *metrics.Counter
 
-	// Deferred mode (SetDeferred), used by the conservative windowed
-	// engine: sends enqueue in per-sender outboxes instead of scheduling
-	// deliveries immediately, and CommitWindow drains them between
-	// windows. Egress serialization is still resolved at send time (it
-	// is sender-local); everything that touches receiver or global state
-	// — ingress serialization, traffic accounting, fault rolls, message
-	// ids, delivery scheduling — moves to the commit.
-	deferred bool
-	outbox   [][]wireMsg
+	// Sends enqueue in per-sender outboxes, and CommitWindow drains them
+	// between the engine's windows. Egress serialization is resolved at
+	// send time (it is sender-local); everything that touches receiver or
+	// global state — ingress serialization, traffic accounting, fault
+	// rolls, message ids, delivery scheduling — happens at the commit.
+	outbox [][]wireMsg
 }
 
-// wireMsg is one deferred message waiting in its sender's outbox.
+// wireMsg is one message waiting in its sender's outbox.
 type wireMsg struct {
 	sendT      sim.Time // send initiation, for deterministic commit order
 	depart     sim.Time // egress departure (send-time computed)
@@ -169,7 +167,9 @@ func New(eng *sim.Engine, nodes int, params Params) *Network {
 
 // Init configures n in place to connect nodes 0..nodes-1, replacing any
 // previous state. It exists so a Network can be embedded by value in a
-// larger system; egress and ingress share one backing allocation.
+// larger system; egress and ingress share one backing allocation. The
+// engine's window hook must call CommitWindow, or no message is ever
+// delivered.
 func (n *Network) Init(eng *sim.Engine, nodes int, params Params) {
 	free := make([]sim.Time, 4*nodes)
 	*n = Network{
@@ -179,6 +179,7 @@ func (n *Network) Init(eng *sim.Engine, nodes int, params Params) {
 		ingressFree:     free[nodes : 2*nodes : 2*nodes],
 		bulkEgressFree:  free[2*nodes : 3*nodes : 3*nodes],
 		bulkIngressFree: free[3*nodes:],
+		outbox:          make([][]wireMsg, nodes),
 	}
 }
 
@@ -192,16 +193,6 @@ func (n *Network) Name() string { return "netsim" }
 // PeerAddr describes a peer in backend terms (core.Interconnect). The
 // simulated cluster has no wire addresses, so peers are named by node id.
 func (n *Network) PeerAddr(to NodeID) string { return fmt.Sprintf("node %d", to) }
-
-// SetDeferred switches the network into deferred (windowed) delivery
-// mode. Must be set before traffic flows and requires the engine to run
-// its conservative windowed loop, whose window hook calls CommitWindow.
-func (n *Network) SetDeferred(on bool) {
-	n.deferred = on
-	if on && n.outbox == nil {
-		n.outbox = make([][]wireMsg, len(n.egressFree))
-	}
-}
 
 // SetTracer installs a protocol event tracer (nil disables tracing).
 // Every transmitted message then records a send event at egress
@@ -235,32 +226,7 @@ func (n *Network) SendFromTask(t *sim.Task, from, to NodeID, class Class, bytes 
 		panic("netsim: SendFromTask with from == to")
 	}
 	t.Advance(n.params.SendOverhead)
-	lane := n.egressLane(class)
-	depart := maxTime(t.Now(), lane[from])
-	if n.deferred {
-		wait := depart - t.Now()
-		depart += n.params.transfer(bytes)
-		lane[from] = depart
-		n.outbox[from] = append(n.outbox[from], wireMsg{
-			sendT: t.Now(), depart: depart, egressWait: wait,
-			to: to, class: class, bytes: bytes, deliver: deliver})
-		return
-	}
-	if n.met != nil {
-		n.met.EgressWait[class].Observe(int64(depart - t.Now()))
-	}
-	depart += n.params.transfer(bytes)
-	lane[from] = depart
-	if n.faults != nil {
-		// Task.Schedule (via the closure) lowers the sender's causality
-		// horizon exactly as the reliable path below does.
-		n.faultedSend(depart, from, to, class, bytes, deliver, t.Schedule)
-		return
-	}
-	handlerAt := n.arrival(depart, from, to, class, bytes, 0)
-	// Task.Schedule lowers the sender's causality horizon so the sender
-	// cannot run past the delivery before it is applied.
-	t.Schedule(handlerAt, deliver)
+	n.enqueue(t.Now(), 0, from, to, class, bytes, deliver)
 }
 
 // SendFromHandler transmits a message from engine context (a message
@@ -270,30 +236,21 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 	if from == to {
 		panic("netsim: SendFromHandler with from == to")
 	}
+	n.enqueue(n.eng.Procs()[int(from)].LocalNow(), n.params.SendOverhead, from, to, class, bytes, deliver)
+}
+
+// enqueue serializes a message sent at now through from's egress lane,
+// charging overhead plus the payload transfer to the lane, and appends
+// it to from's outbox for the next window commit.
+func (n *Network) enqueue(now, overhead sim.Time, from, to NodeID, class Class, bytes int, deliver func()) {
 	lane := n.egressLane(class)
-	if n.deferred {
-		now := n.eng.Procs()[int(from)].LocalNow()
-		depart := maxTime(now, lane[from])
-		wait := depart - now
-		depart += n.params.SendOverhead + n.params.transfer(bytes)
-		lane[from] = depart
-		n.outbox[from] = append(n.outbox[from], wireMsg{
-			sendT: now, depart: depart, egressWait: wait,
-			to: to, class: class, bytes: bytes, deliver: deliver})
-		return
-	}
-	depart := maxTime(n.eng.Now(), lane[from])
-	if n.met != nil {
-		n.met.EgressWait[class].Observe(int64(depart - n.eng.Now()))
-	}
-	depart += n.params.SendOverhead + n.params.transfer(bytes)
+	depart := maxTime(now, lane[from])
+	wait := depart - now
+	depart += overhead + n.params.transfer(bytes)
 	lane[from] = depart
-	if n.faults != nil {
-		n.faultedSend(depart, from, to, class, bytes, deliver, n.eng.Schedule)
-		return
-	}
-	handlerAt := n.arrival(depart, from, to, class, bytes, 0)
-	n.eng.Schedule(handlerAt, deliver)
+	n.outbox[from] = append(n.outbox[from], wireMsg{
+		sendT: now, depart: depart, egressWait: wait,
+		to: to, class: class, bytes: bytes, deliver: deliver})
 }
 
 // egressLane returns the per-node egress serializer for a message class:
@@ -340,43 +297,45 @@ func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes i
 }
 
 // CommitWindow drains every sender's outbox with the engine quiescent
-// between two windows of limit's window. Senders are processed in node
-// order; each sender's messages in send-initiation order (a stable sort,
-// so same-instant sends keep program order). This order is a pure
-// function of simulation state, so traffic accounting, fault rolls,
-// message ids, and ingress serialization are identical at every worker
-// count. Every delivery must land at or after limit — the lookahead
-// guarantee — or the conservative schedule would be unsound; violations
-// panic loudly.
+// between two windows; limit is the end of the window just executed.
+// Senders are processed in node order; each sender's messages in
+// send-initiation order (a stable sort, so same-instant sends keep
+// program order). This order is a pure function of simulation state, so
+// traffic accounting, fault rolls, message ids, and ingress
+// serialization are identical at every worker count.
 func (n *Network) CommitWindow(limit sim.Time) {
 	for from := range n.outbox {
 		msgs := n.outbox[from]
 		if len(msgs) == 0 {
 			continue
 		}
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].sendT < msgs[j].sendT })
+		slices.SortStableFunc(msgs, func(a, b wireMsg) int { return cmp.Compare(a.sendT, b.sendT) })
 		for i := range msgs {
 			m := &msgs[i]
 			if n.met != nil {
 				n.met.EgressWait[m.class].Observe(int64(m.egressWait))
 			}
-			to := m.to
-			sched := func(at sim.Time, fn func()) {
-				if at < limit {
-					panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",
-						at, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
-				}
-				n.eng.ScheduleOn(n.eng.Procs()[int(to)], at, fn)
-			}
 			if n.faults != nil {
-				n.faultedSend(m.depart, NodeID(from), m.to, m.class, m.bytes, m.deliver, sched)
+				n.faultedSend(limit, NodeID(from), m)
 			} else {
-				sched(n.arrival(m.depart, NodeID(from), m.to, m.class, m.bytes, 0), m.deliver)
+				n.schedule(limit, NodeID(from), m, n.arrival(m.depart, NodeID(from), m.to, m.class, m.bytes, 0))
 			}
 			msgs[i] = wireMsg{} // release the delivery closure
 		}
 		n.outbox[from] = msgs[:0]
 	}
+}
+
+// schedule queues m's delivery handler on its receiver at virtual time
+// at. Every delivery must land at or after limit — the lookahead
+// guarantee — or the conservative schedule would be unsound; violations
+// panic loudly.
+func (n *Network) schedule(limit sim.Time, from NodeID, m *wireMsg, at sim.Time) {
+	if at < limit {
+		panic(fmt.Sprintf("netsim: delivery at %v violates lookahead bound %v (msg %v %d->%d sendT=%v depart=%v bytes=%d)",
+			at, limit, m.class, from, m.to, m.sendT, m.depart, m.bytes))
+	}
+	n.eng.ScheduleOn(n.eng.Procs()[int(m.to)], at, m.deliver)
 }
 
 func maxTime(a, b sim.Time) sim.Time {

@@ -8,6 +8,20 @@ import (
 
 const us = sim.Microsecond
 
+// newTestNet returns a one-worker engine with nodes procs and a network
+// over them, wired so every window commit delivers its messages.
+func newTestNet(nodes int, switchCost sim.Time) (*sim.Engine, *Network, []*sim.Proc) {
+	params := DefaultParams()
+	eng := sim.NewEngine(1, params.Lookahead())
+	procs := make([]*sim.Proc, nodes)
+	for i := range procs {
+		procs[i] = eng.AddProc(switchCost)
+	}
+	nw := New(eng, nodes, params)
+	eng.SetWindowHook(nw.CommitWindow)
+	return eng, nw, procs
+}
+
 func TestClassString(t *testing.T) {
 	tests := []struct {
 		c    Class
@@ -39,10 +53,8 @@ func TestOneWayLatency(t *testing.T) {
 }
 
 func TestRoundTripFromTask(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
-	p0 := eng.AddProc(8 * us)
-	eng.AddProc(8 * us)
+	eng, nw, procs := newTestNet(2, 8*us)
+	p0 := procs[0]
 
 	var rtt sim.Time
 	eng.Spawn(p0, "client", func(tk *sim.Task) {
@@ -67,13 +79,8 @@ func TestRoundTripFromTask(t *testing.T) {
 }
 
 func TestIngressSerialization(t *testing.T) {
-	eng := sim.NewEngine()
 	params := DefaultParams()
-	nw := New(eng, 9, params)
-	procs := make([]*sim.Proc, 9)
-	for i := range procs {
-		procs[i] = eng.AddProc(0)
-	}
+	eng, nw, procs := newTestNet(9, 0)
 
 	// Nodes 1..8 each send one message to node 0 at t=0; arrivals must be
 	// handled RecvOverhead apart.
@@ -82,7 +89,7 @@ func TestIngressSerialization(t *testing.T) {
 		i := i
 		eng.Spawn(procs[i], "sender", func(tk *sim.Task) {
 			nw.SendFromTask(tk, NodeID(i), 0, ClassBarrier, 0, func() {
-				handledAt = append(handledAt, eng.Now())
+				handledAt = append(handledAt, procs[0].LocalNow())
 			})
 		})
 	}
@@ -100,22 +107,16 @@ func TestIngressSerialization(t *testing.T) {
 }
 
 func TestEgressSerializationFromHandler(t *testing.T) {
-	eng := sim.NewEngine()
 	params := DefaultParams()
-	nw := New(eng, 3, params)
-	for i := 0; i < 3; i++ {
-		eng.AddProc(0)
-	}
+	eng, nw, procs := newTestNet(3, 0)
 
 	// A handler on node 0 sends two messages back-to-back; the second
 	// departs SendOverhead after the first.
 	var at1, at2 sim.Time
-	eng.Schedule(0, func() {
-		nw.SendFromHandler(0, 1, ClassLock, 0, func() { at1 = eng.Now() })
-		nw.SendFromHandler(0, 2, ClassLock, 0, func() { at2 = eng.Now() })
+	eng.ScheduleOn(procs[0], 0, func() {
+		nw.SendFromHandler(0, 1, ClassLock, 0, func() { at1 = procs[1].LocalNow() })
+		nw.SendFromHandler(0, 2, ClassLock, 0, func() { at2 = procs[2].LocalNow() })
 	})
-	p := eng.AddProc(0)
-	eng.Spawn(p, "idle", func(tk *sim.Task) { tk.Advance(5000 * us) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +132,7 @@ func TestMinimalBarrierCost(t *testing.T) {
 	// Reproduce the paper's minimal 8-processor barrier: 7 nodes send
 	// arrivals to a manager; on the last arrival the manager sends 7
 	// releases. Total should be ≈2470µs (paper, §4.1).
-	eng := sim.NewEngine()
-	params := DefaultParams()
-	nw := New(eng, 8, params)
-	procs := make([]*sim.Proc, 8)
-	for i := range procs {
-		procs[i] = eng.AddProc(8 * us)
-	}
+	eng, nw, procs := newTestNet(8, 8*us)
 
 	arrived := 0
 	released := make([]sim.Time, 0, 7)
@@ -151,8 +146,8 @@ func TestMinimalBarrierCost(t *testing.T) {
 					for j := 1; j < 8; j++ {
 						j := j
 						nw.SendFromHandler(0, NodeID(j), ClassBarrier, 0, func() {
-							released = append(released, eng.Now())
-							lastRelease = eng.Now()
+							released = append(released, procs[j].LocalNow())
+							lastRelease = procs[j].LocalNow()
 						})
 					}
 				}
@@ -175,11 +170,8 @@ func TestMinimalBarrierCost(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
-	p0 := eng.AddProc(0)
-	eng.AddProc(0)
-	eng.Spawn(p0, "t", func(tk *sim.Task) {
+	eng, nw, procs := newTestNet(2, 0)
+	eng.Spawn(procs[0], "t", func(tk *sim.Task) {
 		nw.SendFromTask(tk, 0, 1, ClassDiff, 100, func() {})
 		nw.SendFromTask(tk, 0, 1, ClassDiff, 200, func() {})
 		nw.SendFromTask(tk, 0, 1, ClassLock, 8, func() {})
@@ -201,8 +193,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestSelfSendPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 2, DefaultParams())
+	_, nw, _ := newTestNet(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("SendFromHandler(0,0) did not panic")

@@ -21,12 +21,20 @@ type Clock interface {
 	IsVirtual() bool
 }
 
-// EngineClock adapts an Engine's global virtual clock to the Clock
-// interface. Its epoch is the simulation start (T=0).
+// EngineClock adapts an Engine's virtual time to the Clock interface:
+// the latest local time any processor has reached. Its epoch is the
+// simulation start (T=0). Read it outside Run; during a window the
+// processors advance concurrently.
 type EngineClock struct{ Eng *Engine }
 
-// Now reports the engine's current virtual time.
-func (c EngineClock) Now() Time { return c.Eng.Now() }
+// Now reports the latest virtual time reached by any processor.
+func (c EngineClock) Now() Time {
+	var now Time
+	for _, p := range c.Eng.procs {
+		now = maxTime(now, maxTime(p.now, p.clock))
+	}
+	return now
+}
 
 // IsVirtual reports true: engine time is simulated.
 func (c EngineClock) IsVirtual() bool { return true }

@@ -7,7 +7,7 @@ import (
 
 func TestEngineClock(t *testing.T) {
 	var eng Engine
-	eng.Init()
+	eng.Init(1, Microsecond)
 	c := EngineClock{Eng: &eng}
 	if !c.IsVirtual() {
 		t.Error("EngineClock.IsVirtual() = false, want true")
@@ -15,7 +15,7 @@ func TestEngineClock(t *testing.T) {
 	if c.Now() != 0 {
 		t.Errorf("fresh engine clock at %v, want 0", c.Now())
 	}
-	eng.Schedule(5*Millisecond, func() {})
+	eng.ScheduleOn(eng.AddProc(0), 5*Millisecond, func() {})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // ErrDeadlock is returned by Engine.Run when live tasks remain but no
 // entity is runnable and no event is pending, or when the futile-event
-// watchdog concludes the event queue is self-perpetuating without ever
+// watchdog concludes the event queues are self-perpetuating without ever
 // readying a task (a livelock — e.g. an unbounded retransmission timer
 // whose receiver is gone).
 var ErrDeadlock = errors.New("sim: deadlock")
@@ -19,74 +20,80 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // events is unambiguous pathology while staying cheap to count.
 const defaultFutileLimit = 1 << 20
 
-// Engine is a sequential discrete-event simulator. It owns the event queue
-// and all processors, and dispatches exactly one entity at a time in
-// virtual-time order. An Engine is not safe for concurrent use; all
-// interaction happens from the goroutine that calls Run and from task
-// goroutines while they hold the execution grant.
+// Engine is a conservative windowed discrete-event simulator. Work is
+// partitioned by Proc: each processor owns its tasks, its event queue,
+// and its local virtual time, and all processors advance through a
+// shared sequence of virtual-time windows.
+//
+//   - A window starts at W0 = min over procs of nextAt(p) — the earliest
+//     pending work anywhere — and runs every proc up to W1 = W0 +
+//     lookahead, exclusive. Within its window a proc interleaves its
+//     local events and task slices in local-time order, events first on
+//     ties.
+//   - lookahead is a static lower bound on cross-proc latency, counted
+//     from the instant an interaction is recorded by the deferral layer
+//     (for the DSM, the netsim outboxes; not from when the sender
+//     started charging overhead — a send can straddle the window
+//     boundary): anything recorded at time T ≥ W0 inside the window
+//     lands at its target no earlier than T + lookahead ≥ W1, i.e. at
+//     or after the next window boundary. Procs therefore cannot affect
+//     each other within a window, and no null messages or channel
+//     clocks are needed.
+//   - At the barrier the window hook runs with every proc quiescent
+//     (the DSM commits deferred messages, flushes traces and applies
+//     deferred resets there), then the next window opens.
+//
+// Every step is deterministic in the window schedule alone: W0 is a pure
+// function of simulation state, per-proc execution is sequential, and
+// the hook processes deferred work in fixed order. The worker count only
+// changes which OS thread executes a proc's window, so results are
+// byte-identical for every workers value — the invariant the determinism
+// guard in internal/harness enforces.
+//
+// Outside Run an Engine is not safe for concurrent use. During Run a
+// proc's state may be touched only from that proc's events and tasks.
 type Engine struct {
 	procs   []*Proc
-	events  eventQueue
-	now     Time
-	seq     uint64
-	live    int
-	ntasks  int
 	tasks   []*Task
 	running bool
 
-	wakes       uint64 // total WakeAt calls, for the futile-event watchdog
+	workers    int  // OS threads executing proc windows
+	lookahead  Time // window width: the cross-proc latency lower bound
+	windowHook func(limit Time)
+	wg         sync.WaitGroup // workers still executing the current window
+
 	futileLimit int
 	reasonName  func(Reason) string
-
-	// Conservative windowed mode (SetConservative). windowed selects the
-	// run loop; workers is the OS-thread fan-out per window; lookahead is
-	// the cross-proc latency lower bound defining the window width; the
-	// window hook runs after every barrier with the window's limit.
-	windowed   bool
-	workers    int
-	lookahead  Time
-	windowHook func(limit Time)
 }
 
-// NewEngine returns an empty engine.
-func NewEngine() *Engine {
+// NewEngine returns an empty engine that runs windows lookahead wide on
+// up to workers OS threads.
+func NewEngine(workers int, lookahead Time) *Engine {
 	e := new(Engine)
-	e.Init()
+	e.Init(workers, lookahead)
 	return e
 }
 
 // Init prepares e for use, replacing any previous state. It exists so an
 // Engine can be embedded by value in a larger system instead of
-// separately heap-allocated.
-func (e *Engine) Init() {
-	*e = Engine{futileLimit: defaultFutileLimit}
+// separately heap-allocated. lookahead must be a lower bound on the
+// delay of every cross-processor interaction (for the DSM: the network's
+// zero-byte one-way latency); workers must be at least 1.
+func (e *Engine) Init(workers int, lookahead Time) {
+	if workers < 1 {
+		panic(fmt.Sprintf("sim: engine with %d workers", workers))
+	}
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: engine with non-positive lookahead %v", lookahead))
+	}
+	*e = Engine{workers: workers, lookahead: lookahead, futileLimit: defaultFutileLimit}
 }
 
-// SetConservative switches Run to the conservative windowed parallel
-// loop: event execution is partitioned by processor, all processors
-// advance through a shared sequence of virtual-time windows, and the
-// nodes of one window run concurrently on up to workers OS threads.
-// lookahead must be a lower bound on the delay of every cross-processor
-// interaction (for the DSM: the network's zero-byte one-way latency);
-// windows are [W0, W0+lookahead). Results are byte-identical for every
-// workers value ≥ 1, because the window schedule — not the worker count —
-// determines execution order. workers <= 0 restores the sequential loop.
-func (e *Engine) SetConservative(workers int, lookahead Time) {
-	if e.running {
-		panic("sim: SetConservative while running")
-	}
-	if workers > 0 && lookahead <= 0 {
-		panic("sim: SetConservative with non-positive lookahead")
-	}
-	e.windowed = workers > 0
-	e.workers = workers
-	e.lookahead = lookahead
-}
-
-// SetWindowHook installs fn to run after every windowed barrier, with
-// the engine quiescent, receiving the window limit just executed. The
-// DSM layer uses it to commit deferred network traffic and flush the
-// trace demultiplexer.
+// SetWindowHook installs fn to run after every window barrier, with the
+// engine quiescent, receiving the window limit just executed. The DSM
+// layer uses it to commit deferred network traffic and flush the trace
+// demultiplexer; it is the only place one proc's work may schedule
+// events on another proc.
 func (e *Engine) SetWindowHook(fn func(limit Time)) { e.windowHook = fn }
 
 // SetFutileLimit overrides the livelock watchdog threshold: the number of
@@ -111,10 +118,6 @@ func (e *Engine) AddProc(switchCost Time) *Proc {
 // Procs returns the engine's processors in creation order.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// Now reports the virtual time of the entity currently being dispatched.
-// Within event handlers this is the event time.
-func (e *Engine) Now() Time { return e.now }
-
 // Runner is a task body. SpawnRunner exists alongside Spawn so a caller
 // that already has a per-task object can pass it directly instead of
 // allocating a closure per task.
@@ -128,8 +131,9 @@ type funcRunner func(*Task)
 
 func (f funcRunner) RunTask(t *Task) { f(t) }
 
-// Spawn creates a task on p executing fn. It may be called before Run or
-// from engine/task context while the simulation is in progress.
+// Spawn creates a task on p executing fn. It must be called before Run:
+// task IDs are engine-global, so spawning from concurrently executing
+// windows would make them depend on the worker schedule.
 func (e *Engine) Spawn(p *Proc, name string, fn func(*Task)) *Task {
 	return e.SpawnRunner(p, name, funcRunner(fn))
 }
@@ -137,18 +141,16 @@ func (e *Engine) Spawn(p *Proc, name string, fn func(*Task)) *Task {
 // SpawnRunner creates a task on p executing r.RunTask. Semantics match
 // Spawn exactly.
 func (e *Engine) SpawnRunner(p *Proc, name string, r Runner) *Task {
-	if e.windowed && e.running {
-		panic("sim: Spawn during a windowed run")
+	if e.running {
+		panic("sim: Spawn during Run")
 	}
 	t := &Task{
 		eng:    e,
 		proc:   p,
-		id:     e.ntasks,
+		id:     len(e.tasks),
 		name:   name,
 		resume: make(chan grant),
 	}
-	e.ntasks++
-	e.live++
 	p.live++
 	e.tasks = append(e.tasks, t)
 	go t.start(r)
@@ -156,51 +158,22 @@ func (e *Engine) SpawnRunner(p *Proc, name string, r Runner) *Task {
 	return t
 }
 
-// Schedule runs fn in engine context at absolute virtual time at. It must
-// be called from engine context (event handlers); tasks use Task.Schedule.
-// In windowed mode the global queue does not exist — handlers must name
-// the processor their continuation belongs to via ScheduleOn.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if e.windowed {
-		panic("sim: Schedule in windowed mode; use ScheduleOn")
-	}
-	if at < e.now {
-		at = e.now
-	}
-	e.schedule(at, fn)
-}
-
 // ScheduleOn runs fn in engine context on p's timeline at absolute
-// virtual time at. In the sequential mode it is identical to Schedule
-// (one global queue); in windowed mode the event joins p's private queue
-// and fn will run on whichever worker executes p's windows.
+// virtual time at (clamped to p's local time). fn runs on whichever
+// worker executes p's windows. Call it before Run, from an event or task
+// of p itself, or from the window hook — never for another proc from
+// inside a window.
 func (e *Engine) ScheduleOn(p *Proc, at Time, fn func()) {
-	if !e.windowed {
-		if at < e.now {
-			at = e.now
-		}
-		e.schedule(at, fn)
-		return
+	if at < p.now {
+		at = p.now
 	}
-	if at < p.lnow {
-		at = p.lnow
-	}
-	p.lseq++
-	p.levents.push(&event{at: at, seq: p.lseq, fn: fn})
-}
-
-func (e *Engine) schedule(at Time, fn func()) {
-	e.seq++
-	e.events.push(&event{at: at, seq: e.seq, fn: fn})
+	p.schedule(at, fn)
 }
 
 // Wake makes a blocked task ready. It must be called from engine context
 // (typically a message-delivery handler) executing on t's own processor;
-// the wake is stamped with that processor's current time. (In the
-// sequential mode this is the engine-global now, so the two definitions
-// coincide; in windowed mode handlers only ever wake tasks of the
-// processor they run on.)
-func (e *Engine) Wake(t *Task) { e.WakeAt(t, t.proc.LocalNow()) }
+// the wake is stamped with that processor's current time.
+func (e *Engine) Wake(t *Task) { e.WakeAt(t, t.proc.now) }
 
 // WakeAt makes a blocked task ready, stamping the wake at the given
 // virtual time. Use it from task context (e.g. a thread handing a local
@@ -210,11 +183,7 @@ func (e *Engine) WakeAt(t *Task, at Time) {
 		panic(fmt.Sprintf("sim: Wake of task %q in state %d", t.name, t.state))
 	}
 	t.state = taskReady
-	if e.windowed {
-		t.proc.wakes++
-	} else {
-		e.wakes++
-	}
+	t.proc.wakes++
 	t.proc.enqueue(t, at)
 }
 
@@ -227,9 +196,9 @@ func (e *Engine) WakeAt(t *Task, at Time) {
 // Call it only from engine context on the destination processor (e.g. a
 // migrate-message delivery handler), and only for a blocked task: a
 // running or ready task still has scheduler state on its old processor.
-// Under the windowed engine, per-proc live counts are deliberately left
-// untouched — the coordinator sums them globally, so moving a task must
-// not touch the source processor's accounting from another worker.
+// Per-proc live counts are deliberately left untouched — Run sums them
+// globally, so moving a task must not touch the source processor's
+// accounting from another worker.
 func (e *Engine) Migrate(t *Task, to *Proc) {
 	if t.state != taskBlocked {
 		panic(fmt.Sprintf("sim: Migrate of task %q in state %d", t.name, t.state))
@@ -240,94 +209,152 @@ func (e *Engine) Migrate(t *Task, to *Proc) {
 	t.proc = to
 }
 
-// Run dispatches entities in virtual-time order until every spawned task
-// has finished. It returns ErrDeadlock (wrapped with diagnostics) if live
-// tasks remain but nothing is runnable.
+// Run executes the simulation window by window until every spawned task
+// has finished and all pending events have drained (so traffic
+// accounting is complete). It returns ErrDeadlock (wrapped with
+// diagnostics) if live tasks remain but nothing is runnable or pending,
+// or if the futile-event watchdog detects a livelock.
 func (e *Engine) Run() error {
 	if e.running {
 		return errors.New("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.windowed {
-		return e.runWindowed()
-	}
 
-	// Run until every task is done, then drain in-flight events (e.g.
-	// message deliveries whose senders have already finished) so traffic
-	// accounting is complete. The futile counter tracks consecutive
-	// events that neither dispatched nor woke a task: a self-perpetuating
-	// event chain with every task blocked (a retransmission timer whose
-	// peer will never answer) would otherwise spin Run forever.
-	futile := 0
-	for e.live > 0 || e.events.Len() > 0 {
-		p, next := e.minProcNext()
-		evAt := e.events.peekTime()
+	nw := min(e.workers, len(e.procs))
 
-		// Events run first on ties so handlers at time T are applied
-		// before any task continues at T.
-		if p == nil || evAt <= p.clock {
-			if evAt == MaxTime {
-				return e.deadlockErr("no runnable entity and no pending event")
-			}
-			ev := e.events.pop()
-			e.now = ev.at
-			wakesBefore, liveBefore := e.wakes, e.live
-			ev.fn()
-			if e.live > 0 && e.wakes == wakesBefore && e.live == liveBefore {
-				futile++
-				if e.futileLimit > 0 && futile >= e.futileLimit {
-					return e.deadlockErr(fmt.Sprintf(
-						"livelock: %d consecutive events without a task dispatch or wake", futile))
+	// Persistent worker pool: worker w handles procs w, w+nw, w+2nw, ...
+	// for every window (stable assignment, though any assignment would
+	// produce identical results). Worker 0 is the coordinator itself.
+	var starts []chan Time
+	for w := 1; w < nw; w++ {
+		ch := make(chan Time)
+		starts = append(starts, ch)
+		go func(w int, ch chan Time) {
+			for limit := range ch {
+				for pi := w; pi < len(e.procs); pi += nw {
+					e.procWindow(e.procs[pi], limit)
 				}
-			} else {
-				futile = 0
+				e.wg.Done()
 			}
-			continue
+		}(w, ch)
+	}
+	defer func() {
+		for _, ch := range starts {
+			close(ch)
+		}
+	}()
+
+	for {
+		w0 := MaxTime
+		live := 0
+		for _, p := range e.procs {
+			live += p.live
+			if at := p.nextAt(); at < w0 {
+				w0 = at
+			}
+		}
+		if w0 == MaxTime {
+			if live == 0 {
+				return nil
+			}
+			return e.deadlockErr(live, "no runnable entity and no pending event")
+		}
+		limit := w0 + e.lookahead
+
+		e.wg.Add(len(starts))
+		for _, ch := range starts {
+			ch <- limit
+		}
+		for pi := 0; pi < len(e.procs); pi += nw {
+			e.procWindow(e.procs[pi], limit)
+		}
+		e.wg.Wait()
+
+		// Propagate worker outcomes deterministically: the lowest proc
+		// index wins, so a multi-proc failure reports identically at
+		// every worker count. Panics (e.g. the transport's loud failure)
+		// re-raise on the coordinator, where Run's caller can recover
+		// them.
+		progressed := false
+		for _, p := range e.procs {
+			if p.failure != nil {
+				f := p.failure
+				p.failure = nil
+				panic(f)
+			}
+			progressed = progressed || p.progressed
+		}
+		for _, p := range e.procs {
+			if p.futileErr != nil {
+				return p.futileErr
+			}
+			// A task dispatched or woken anywhere restarts every proc's
+			// futile count: an event chain on one proc is only a
+			// livelock if the whole system has stopped moving.
+			if progressed {
+				p.futile = 0
+			}
+			p.progressed = false
 		}
 
-		futile = 0
-		e.dispatchProc(p, minTime(evAt, next))
+		if e.windowHook != nil {
+			e.windowHook(limit)
+		}
 	}
-	return nil
 }
 
-// minProcNext returns the runnable proc with the lowest clock (nil if
-// none; ties break by processor index, keeping dispatch deterministic)
-// and, from the same scan, the lowest clock among the other runnable
-// procs — the processor contribution to the winner's causality horizon.
-func (e *Engine) minProcNext() (*Proc, Time) {
-	var best *Proc
-	next := MaxTime
-	for _, p := range e.procs {
-		if !p.runnable() {
+// procWindow runs one processor to the window limit: its local events
+// and task slices interleaved in local-time order, events first on ties.
+// It touches only p-local state (plus deferral-layer state owned by p),
+// so any worker may execute it. Panics are captured per proc and
+// re-raised by the coordinator.
+func (e *Engine) procWindow(p *Proc, limit Time) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.failure = r
+		}
+	}()
+	for {
+		evAt := p.events.peekTime()
+		taskAt := MaxTime
+		if p.runnable() {
+			taskAt = p.clock
+		}
+		if evAt >= limit && taskAt >= limit {
+			return
+		}
+		if evAt <= taskAt {
+			ev := p.events.pop()
+			p.now = ev.at
+			wakesBefore, liveBefore := p.wakes, p.live
+			ev.fn()
+			if p.wakes != wakesBefore || p.live != liveBefore {
+				p.futile = 0
+				p.progressed = true
+				continue
+			}
+			p.futile++
+			if e.futileLimit > 0 && p.futile >= e.futileLimit {
+				p.futileErr = fmt.Errorf(
+					"%w: livelock on proc %d: %d consecutive events without a task dispatch or wake",
+					ErrDeadlock, p.id, p.futile)
+				return
+			}
 			continue
 		}
-		switch {
-		case best == nil:
-			best = p
-		case p.clock < best.clock:
-			next = minTime(next, best.clock)
-			best = p
-		default:
-			next = minTime(next, p.clock)
-		}
+		p.futile = 0
+		p.progressed = true
+		e.dispatchProc(p, minTime(evAt, limit))
 	}
-	return best, next
 }
 
 // dispatchProc grants p's next task a slice bounded by horizon (the
-// lowest timestamp of any pending event or other runnable processor,
-// computed by the caller's dispatch scan; p.dispatch only mutates p, so
-// the bound stays valid).
+// earlier of p's next local event and the window limit).
 func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 	sliceStart := p.clock
 	t := p.dispatch()
-	if e.windowed {
-		p.lnow = p.clock
-	} else {
-		e.now = p.clock
-	}
+	p.now = p.clock
 
 	t.resume <- grant{horizon: horizon}
 	r := <-p.reports
@@ -342,7 +369,7 @@ func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 	switch r.kind {
 	case reportYield:
 		// Task crossed its horizon; it remains current and will be
-		// re-granted when p is again the minimum entity.
+		// re-granted when p next has it as its earliest work.
 	case reportRequeue:
 		p.current = nil
 		p.runq = append(p.runq, t)
@@ -350,19 +377,11 @@ func (e *Engine) dispatchProc(p *Proc, horizon Time) {
 		p.current = nil
 		p.noteBlocked()
 	case reportDone:
+		// Keep the idle flag exact so a later wake lifts the proc clock
+		// to the wake instant; a stale clock would let a woken task run
+		// before the current window's floor.
 		p.current = nil
-		if e.windowed {
-			// Keep the idle flag exact so a later wake lifts the proc
-			// clock to the wake instant; a stale clock would let a
-			// woken task run before the current window's floor. (The
-			// sequential loop keeps its historical behavior — its
-			// global event order does not depend on the flag.)
-			p.noteBlocked()
-		}
 		p.live--
-		if !e.windowed {
-			e.live--
-		}
 		p.noteBlocked()
 	}
 }
@@ -381,7 +400,7 @@ func (e *Engine) Shutdown() {
 	}
 }
 
-func (e *Engine) deadlockErr(why string) error {
+func (e *Engine) deadlockErr(live int, why string) error {
 	var blocked []string
 	for _, t := range e.tasks {
 		if t.state == taskBlocked {
@@ -389,7 +408,7 @@ func (e *Engine) deadlockErr(why string) error {
 		}
 	}
 	return fmt.Errorf("%w: %s; %d tasks live, blocked: %s",
-		ErrDeadlock, why, e.live, strings.Join(blocked, ", "))
+		ErrDeadlock, why, live, strings.Join(blocked, ", "))
 }
 
 func (e *Engine) fmtReason(r Reason) string {

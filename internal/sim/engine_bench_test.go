@@ -31,7 +31,7 @@ func BenchmarkEventQueue(b *testing.B) {
 func BenchmarkEngineSpawnRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine()
+		eng := NewEngine(1, 10*Microsecond)
 		p := eng.AddProc(8 * Microsecond)
 		for t := 0; t < 4; t++ {
 			eng.Spawn(p, "t", func(tk *Task) {
@@ -47,15 +47,14 @@ func BenchmarkEngineSpawnRun(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchScan measures the per-dispatch processor scan on a
+// BenchmarkDispatchScan measures the per-window processor scan on a
 // populated engine: 16 procs (the largest paper configuration) whose
-// tasks advance in small steps, so nearly every Run-loop turn pays one
-// minProcNext scan. The scan used to be two O(P) passes (min-clock
-// selection plus a separate horizon pass); it is now one.
+// tasks advance in steps as small as the window, so nearly every window
+// pays one O(P) scan for its floor plus one slice per proc.
 func BenchmarkDispatchScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine()
+		eng := NewEngine(1, 10*Microsecond)
 		for pi := 0; pi < 16; pi++ {
 			p := eng.AddProc(8 * Microsecond)
 			eng.Spawn(p, "t", func(tk *Task) {

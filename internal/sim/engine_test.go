@@ -8,6 +8,10 @@ import (
 
 const us = Microsecond
 
+// newTestEngine returns a one-worker engine whose 10µs windows are finer
+// than every cross-proc interaction the tests stage.
+func newTestEngine() *Engine { return NewEngine(1, 10*us) }
+
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		in   Time
@@ -27,7 +31,7 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestSingleTaskAdvances(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(8 * us)
 	var end Time
 	e.Spawn(p, "t0", func(task *Task) {
@@ -47,12 +51,12 @@ func TestSingleTaskAdvances(t *testing.T) {
 }
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var order []int
-	e.Schedule(30*us, func() { order = append(order, 3) })
-	e.Schedule(10*us, func() { order = append(order, 1) })
-	e.Schedule(20*us, func() { order = append(order, 2) })
 	p := e.AddProc(0)
+	e.ScheduleOn(p, 30*us, func() { order = append(order, 3) })
+	e.ScheduleOn(p, 10*us, func() { order = append(order, 1) })
+	e.ScheduleOn(p, 20*us, func() { order = append(order, 2) })
 	e.Spawn(p, "t", func(task *Task) { task.Advance(100 * us) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -63,13 +67,13 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestEqualTimeEventsFIFO(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var order []int
+	p := e.AddProc(0)
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5*us, func() { order = append(order, i) })
+		e.ScheduleOn(p, 5*us, func() { order = append(order, i) })
 	}
-	p := e.AddProc(0)
 	e.Spawn(p, "t", func(task *Task) { task.Advance(10 * us) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -82,7 +86,7 @@ func TestEqualTimeEventsFIFO(t *testing.T) {
 }
 
 func TestBlockAndWake(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(8 * us)
 	var task *Task
 	var resumedAt Time
@@ -91,7 +95,7 @@ func TestBlockAndWake(t *testing.T) {
 		tk.Block(Reason(1))
 		resumedAt = tk.Now()
 	})
-	e.Schedule(500*us, func() { e.Wake(task) })
+	e.ScheduleOn(p, 500*us, func() { e.Wake(task) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestBlockAndWake(t *testing.T) {
 }
 
 func TestSwitchCostCharged(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	const sw = 8 * us
 	p := e.AddProc(sw)
 	var switches int
@@ -121,7 +125,7 @@ func TestSwitchCostCharged(t *testing.T) {
 		tk.Advance(30 * us) // runs 18..48
 		t2ResumedAt = tk.Now()
 	})
-	e.Schedule(100*us, func() { e.Wake(t1) })
+	e.ScheduleOn(p, 100*us, func() { e.Wake(t1) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestSwitchCostCharged(t *testing.T) {
 }
 
 func TestIdleAttribution(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	const faultReason = Reason(2)
 	var idleStart, idleEnd Time
@@ -151,7 +155,7 @@ func TestIdleAttribution(t *testing.T) {
 		tk.Advance(25 * us)
 		tk.Block(faultReason)
 	})
-	e.Schedule(250*us, func() { e.Wake(task) })
+	e.ScheduleOn(p, 250*us, func() { e.Wake(task) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +168,26 @@ func TestIdleAttribution(t *testing.T) {
 }
 
 func TestHorizonCausality(t *testing.T) {
-	// A task on proc A computes in large steps while an event at an
-	// earlier virtual time mutates state. The task must observe the
-	// mutation no later than its first primitive after the event time.
-	e := NewEngine()
+	// A task on proc A computes in large steps while a message from proc
+	// B mutates state at an earlier virtual time. The message crosses
+	// procs the only legal way — recorded during B's window and scheduled
+	// on A by the window hook — and the reader must observe it no later
+	// than its first primitive after the delivery time.
+	e := NewEngine(1, 20*us)
 	a := e.AddProc(0)
 	b := e.AddProc(0)
 
 	shared := 0
+	var outbox []Time
+	e.SetWindowHook(func(limit Time) {
+		for _, at := range outbox {
+			if at < limit {
+				t.Fatalf("delivery at %v inside the window ending %v", at, limit)
+			}
+			e.ScheduleOn(a, at, func() { shared = 42 })
+		}
+		outbox = outbox[:0]
+	})
 	var sawAt Time
 	sawVal := -1
 	e.Spawn(a, "reader", func(tk *Task) {
@@ -185,8 +201,8 @@ func TestHorizonCausality(t *testing.T) {
 	})
 	e.Spawn(b, "writer", func(tk *Task) {
 		tk.Advance(101 * us)
-		// Schedule a "message" that sets shared at 150µs.
-		tk.Schedule(150*us, func() { shared = 42 })
+		// Send a "message" that sets shared at 150µs.
+		outbox = append(outbox, 150*us)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -199,10 +215,33 @@ func TestHorizonCausality(t *testing.T) {
 	}
 }
 
+func TestTaskScheduleLowersHorizon(t *testing.T) {
+	// A task's own event must apply before the task runs past it, even
+	// when one compute charge jumps far beyond the event time.
+	e := newTestEngine()
+	p := e.AddProc(0)
+	var firedAt, resumedAt Time
+	e.Spawn(p, "t", func(tk *Task) {
+		tk.Schedule(15*us, func() { firedAt = p.LocalNow() })
+		tk.Advance(100 * us)
+		if firedAt == 0 {
+			t.Error("task ran past its own event before the event applied")
+		}
+		resumedAt = tk.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if firedAt != 15*us || resumedAt != 100*us {
+		t.Errorf("event at %v, task at %v; want 15µs, 100µs", firedAt, resumedAt)
+	}
+}
+
 func TestProcsInterleaveByClock(t *testing.T) {
-	// Two procs advancing in different step sizes must interleave in
-	// virtual-time order when they touch shared engine state.
-	e := NewEngine()
+	// Two procs advancing in different step sizes interleave in
+	// virtual-time order at window granularity: with 10µs windows finer
+	// than either step, every entry lands in time order.
+	e := newTestEngine()
 	var log []string
 	mk := func(p *Proc, name string, step Time, n int) {
 		e.Spawn(p, name, func(tk *Task) {
@@ -217,16 +256,15 @@ func TestProcsInterleaveByClock(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// At the t=60 tie, b is already running with an inclusive horizon of
-	// 60, so it reaches 60 before control returns to a.
-	want := "[b@20 a@30 b@40 b@60 a@60 b@80 a@90]"
+	// At the t=60 tie both procs run in the same window, in proc order.
+	want := "[b@20 a@30 b@40 a@60 b@60 b@80 a@90]"
 	if got := fmt.Sprint(log); got != want {
 		t.Errorf("interleaving = %v, want %v", got, want)
 	}
 }
 
 func TestYieldRoundRobin(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	var log []string
 	for _, name := range []string{"x", "y"} {
@@ -249,7 +287,7 @@ func TestYieldRoundRobin(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	e.Spawn(p, "stuck", func(tk *Task) {
 		tk.Block(Reason(3)) // nobody wakes it
@@ -263,7 +301,7 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
-		e := NewEngine()
+		e := newTestEngine()
 		var log []string
 		for pi := 0; pi < 4; pi++ {
 			p := e.AddProc(8 * us)
@@ -293,7 +331,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSliceHookCoversUserTime(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	var total Time
 	p.SetHooks(ProcHooks{OnSlice: func(task *Task, start, end Time) { total += end - start }})
@@ -311,27 +349,35 @@ func TestSliceHookCoversUserTime(t *testing.T) {
 }
 
 func TestSpawnMidRun(t *testing.T) {
-	e := NewEngine()
+	// Task IDs are engine-global, so spawning from inside a window would
+	// make them depend on the worker schedule: Spawn during Run panics,
+	// and the spawning task can recover and carry on.
+	e := newTestEngine()
 	p := e.AddProc(0)
-	var childEnd Time
+	var msg any
+	var end Time
 	e.Spawn(p, "parent", func(tk *Task) {
 		tk.Advance(10 * us)
-		e.Spawn(p, "child", func(c *Task) {
-			c.Advance(5 * us)
-			childEnd = c.Now()
-		})
+		func() {
+			defer func() { msg = recover() }()
+			e.Spawn(p, "child", func(*Task) {})
+		}()
 		tk.Advance(10 * us)
+		end = tk.Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if childEnd != 25*us {
-		t.Errorf("child finished at %v, want 25µs", childEnd)
+	if msg != "sim: Spawn during Run" {
+		t.Errorf("Spawn during Run recovered %v, want the engine's panic", msg)
+	}
+	if end != 20*us || len(e.tasks) != 1 {
+		t.Errorf("parent finished at %v with %d tasks, want 20µs and 1", end, len(e.tasks))
 	}
 }
 
 func TestLIFODispatchOrder(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	p.SetLIFO(true)
 	var order []string
@@ -355,7 +401,7 @@ func TestLIFODispatchOrder(t *testing.T) {
 }
 
 func TestTaskAccessors(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	task := e.Spawn(p, "named", func(tk *Task) { tk.Advance(us) })
 	if err := e.Run(); err != nil {

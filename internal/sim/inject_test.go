@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestInjectPauseDisplacesCompute(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	p.InjectPause(50*us, 150*us)
 	var end Time
@@ -22,7 +22,7 @@ func TestInjectPauseDisplacesCompute(t *testing.T) {
 }
 
 func TestInjectPauseChainDisplacesAcrossWindows(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	// Inserted out of order on purpose: the schedule must sort itself.
 	p.InjectPause(120*us, 170*us)
@@ -44,7 +44,7 @@ func TestInjectPauseChainDisplacesAcrossWindows(t *testing.T) {
 }
 
 func TestInjectSlowdownDilatesCompute(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	p.InjectSlowdown(0, Second, 2.0)
 	var mid, end Time
@@ -63,7 +63,7 @@ func TestInjectSlowdownDilatesCompute(t *testing.T) {
 }
 
 func TestInjectSlowdownOnlyInsideWindow(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	p.InjectSlowdown(100*us, 200*us, 3.0)
 	var end Time
@@ -83,7 +83,7 @@ func TestInjectSlowdownOnlyInsideWindow(t *testing.T) {
 }
 
 func TestInjectOverlapPanics(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	p.InjectPause(10*us, 50*us)
 	defer func() {
@@ -95,7 +95,7 @@ func TestInjectOverlapPanics(t *testing.T) {
 }
 
 func TestInjectBadArgsPanic(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	p := e.AddProc(0)
 	for name, fn := range map[string]func(){
 		"empty pause":      func() { p.InjectPause(50*us, 50*us) },
@@ -115,7 +115,7 @@ func TestInjectBadArgsPanic(t *testing.T) {
 
 func TestInjectionsDeterministic(t *testing.T) {
 	run := func() Time {
-		e := NewEngine()
+		e := newTestEngine()
 		p := e.AddProc(8 * us)
 		p.InjectPause(30*us, 90*us)
 		p.InjectSlowdown(200*us, 400*us, 1.5)

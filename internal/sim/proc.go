@@ -9,9 +9,10 @@ type Reason uint8
 const ReasonNone Reason = 0
 
 // Hooks receives scheduling notifications for one processor. Hooks run
-// in the dispatch context of that processor and must not block. In the
-// windowed parallel mode several processors dispatch concurrently, so a
-// handler shared between procs must only touch per-proc state.
+// in the dispatch context of that processor and must not block. Several
+// processors dispatch concurrently when the engine runs more than one
+// worker, so a handler shared between procs must only touch per-proc
+// state.
 type Hooks interface {
 	// OnSwitch fires when the processor dispatches a task other than the
 	// one it last ran, after the switch cost has been charged.
@@ -80,37 +81,36 @@ type Proc struct {
 
 	inj *injections // nil unless fault injections were scheduled
 
-	// Per-proc execution state. reports carries scheduling reports from
-	// this proc's tasks in both modes; the remaining fields are used only
-	// by the conservative windowed mode (Engine.SetConservative), where
-	// each proc owns a private event queue and local virtual time so
-	// windows execute without touching any engine-global state.
-	reports   chan report
-	levents   eventQueue // proc-local pending events
-	lseq      uint64     // tie-breaker for levents
-	lnow      Time       // local virtual time of the current entity
-	live      int        // this proc's not-yet-finished tasks
-	wakes     uint64     // wake count, for the windowed futile watchdog
-	failure   any        // panic captured from this proc's window, if any
-	futileErr error      // windowed livelock verdict, if any
+	// Per-proc execution state. Each proc owns a private event queue and
+	// local virtual time, so its windows execute without touching any
+	// engine-global state.
+	reports    chan report
+	events     eventQueue // pending local events
+	seq        uint64     // tie-breaker for events: creation order
+	now        Time       // local virtual time of the current entity
+	live       int        // this proc's not-yet-finished tasks
+	wakes      uint64     // wake count, for the futile-event watchdog
+	futile     int        // consecutive events without a dispatch or wake
+	progressed bool       // a task was dispatched or woken this window
+	failure    any        // panic captured from this proc's window, if any
+	futileErr  error      // livelock verdict, if any
 }
 
 // LocalNow reports the virtual time of the entity currently executing on
-// p: in windowed mode the proc-local event or dispatch time, otherwise
-// the engine-global now. Handler code that runs on a known proc should
-// prefer this over Engine.Now — the two are identical in the sequential
-// mode, and only LocalNow is meaningful inside a parallel window.
-func (p *Proc) LocalNow() Time {
-	if p.eng.windowed {
-		return p.lnow
-	}
-	return p.eng.now
+// p: the time of the local event being handled, or the clock at which
+// the current task slice was dispatched.
+func (p *Proc) LocalNow() Time { return p.now }
+
+// schedule queues fn as a local event at virtual time at.
+func (p *Proc) schedule(at Time, fn func()) {
+	p.seq++
+	p.events.push(&event{at: at, seq: p.seq, fn: fn})
 }
 
 // nextAt reports the earliest virtual time at which p has work: its next
 // local event or its clock if a task is runnable. MaxTime means idle.
 func (p *Proc) nextAt() Time {
-	at := p.levents.peekTime()
+	at := p.events.peekTime()
 	if p.runnable() && p.clock < at {
 		at = p.clock
 	}
@@ -158,8 +158,8 @@ func (p *Proc) QueueLen() int { return len(p.runq) }
 func (p *Proc) runnable() bool { return p.current != nil || len(p.runq) > 0 }
 
 // enqueue appends t to the ready queue, ending an idle period if one is in
-// progress. at is the virtual time of the wake (engine now, or the clock of
-// the spawning task).
+// progress. at is the virtual time of the wake (the waking event's time, or
+// the clock of the waking task).
 func (p *Proc) enqueue(t *Task, at Time) {
 	wasIdle := p.idle && !p.runnable()
 	p.runq = append(p.runq, t)

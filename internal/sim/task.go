@@ -91,21 +91,15 @@ func (t *Task) Yield() {
 }
 
 // Schedule runs fn in engine context at absolute virtual time at, which
-// must not precede the task's clock. The task's horizon is lowered so it
-// will not run past the new event before the event is applied. In
-// windowed mode the event lands on the task's own processor — a task can
-// only schedule local continuations; cross-proc effects go through the
-// deferred network.
+// must not precede the task's clock. The event lands on the task's own
+// processor — cross-proc effects go through the window hook's deferral
+// layer — and the task's horizon is lowered so it will not run past the
+// new event before the event is applied.
 func (t *Task) Schedule(at Time, fn func()) {
 	if at < t.proc.clock {
 		at = t.proc.clock
 	}
-	if t.eng.windowed {
-		t.proc.lseq++
-		t.proc.levents.push(&event{at: at, seq: t.proc.lseq, fn: fn})
-	} else {
-		t.eng.schedule(at, fn)
-	}
+	t.proc.schedule(at, fn)
 	t.horizon = minTime(t.horizon, at)
 }
 

@@ -14,15 +14,15 @@ import (
 // ErrDeadlock, not spin Run forever. Without the watchdog this test
 // times out instead of hanging the suite.
 func TestLivelockDetected(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	e.SetFutileLimit(1000)
 	p := e.AddProc(0)
 	e.Spawn(p, "stuck", func(tk *Task) {
 		tk.Block(Reason(2)) // nobody wakes it
 	})
 	var tick func()
-	tick = func() { e.Schedule(e.Now()+5*us, tick) }
-	e.Schedule(5*us, tick)
+	tick = func() { e.ScheduleOn(p, p.LocalNow()+5*us, tick) }
+	e.ScheduleOn(p, 5*us, tick)
 
 	done := make(chan error, 1)
 	go func() { done <- e.Run() }()
@@ -43,7 +43,7 @@ func TestLivelockDetected(t *testing.T) {
 func TestFutileLimitDisabled(t *testing.T) {
 	// A long but finite futile chain must complete when the watchdog is
 	// generous enough; the limit is a pathology detector, not a budget.
-	e := NewEngine()
+	e := newTestEngine()
 	e.SetFutileLimit(10_000)
 	p := e.AddProc(0)
 	var task *Task
@@ -55,9 +55,9 @@ func TestFutileLimitDisabled(t *testing.T) {
 			e.Wake(task)
 			return
 		}
-		e.Schedule(e.Now()+us, tick)
+		e.ScheduleOn(p, p.LocalNow()+us, tick)
 	}
-	e.Schedule(us, tick)
+	e.ScheduleOn(p, us, tick)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run() = %v, want nil (wake arrived before the limit)", err)
 	}
@@ -70,7 +70,7 @@ func TestFutileLimitDisabled(t *testing.T) {
 func TestShutdownReleasesYieldParkedTasks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	e := NewEngine()
+	e := newTestEngine()
 	e.SetFutileLimit(500)
 	p := e.AddProc(0)
 	e.Spawn(p, "parked", func(tk *Task) {
@@ -80,8 +80,8 @@ func TestShutdownReleasesYieldParkedTasks(t *testing.T) {
 	// branch wins every iteration, the task stays yield-parked, and the
 	// watchdog fires.
 	var tick func()
-	tick = func() { e.Schedule(e.Now(), tick) }
-	e.Schedule(10*us, tick)
+	tick = func() { e.ScheduleOn(p, p.LocalNow(), tick) }
+	e.ScheduleOn(p, 10*us, tick)
 
 	if err := e.Run(); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("Run() = %v, want ErrDeadlock", err)
@@ -98,7 +98,7 @@ func TestShutdownReleasesYieldParkedTasks(t *testing.T) {
 }
 
 func TestDeadlockErrNamesReasons(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	e.SetReasonNamer(func(r Reason) string {
 		if r == 3 {
 			return "barrier"

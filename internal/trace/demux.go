@@ -6,8 +6,8 @@ import (
 	"cvm/internal/sim"
 )
 
-// Demux adapts a sequential Tracer to the conservative windowed engine:
-// during a window each node emits into its own buffer (no shared state,
+// Demux feeds a Tracer that expects one event at a time from the
+// simulator's concurrently executing nodes: during a window each node emits into its own buffer (no shared state,
 // so concurrent windows need no locking), and at every window commit
 // Flush releases the buffered events to the underlying sink in canonical
 // (T, Node, arrival) order. Because the window schedule is identical at
