@@ -90,6 +90,8 @@ func (l *TCPListener) Mesh(addrs []string, timeout time.Duration) (Conn, error) 
 	}
 	c.stats.Peers = make([]PeerStats, nodes)
 	c.cond = sync.NewCond(&c.mu)
+	c.peerEOF = make([]bool, nodes)
+	c.open = nodes - 1
 	deadline := time.Now().Add(timeout)
 
 	// Accept from higher-id peers and dial lower-id peers concurrently:
@@ -211,11 +213,13 @@ type tcpConn struct {
 	conns []*net.TCPConn
 	outbx []*outQueue
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  []Message
-	closed bool
-	rerr   error // first reader failure, reported by Recv after drain
+	mu      sync.Mutex
+	cond    *sync.Cond
+	inbox   []Message
+	closed  bool
+	rerr    error  // first reader failure, reported by Recv after drain
+	peerEOF []bool // per peer: its stream ended with a clean EOF
+	open    int    // peers whose streams have not ended
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -240,6 +244,13 @@ func (c *tcpConn) Send(m Message) error {
 	if m.To < 0 || int(m.To) >= len(c.addrs) || m.To == c.self {
 		return fmt.Errorf("tcp node %d: send to invalid peer %d", c.self, m.To)
 	}
+	c.mu.Lock()
+	halfClosed := c.peerEOF[m.To]
+	c.mu.Unlock()
+	if halfClosed {
+		return fmt.Errorf("tcp node %d -> node %d (%s): peer closed its stream %s: %w",
+			c.self, m.To, c.PeerAddr(m.To), c.peerTraffic(m.To), ErrClosed)
+	}
 	q := c.outbx[m.To]
 	if !q.push(frame(c.self, uint8(m.Class), m.Type, m.Payload)) {
 		return fmt.Errorf("tcp node %d -> node %d (%s): %w", c.self, m.To, c.PeerAddr(m.To), ErrClosed)
@@ -256,7 +267,7 @@ func (c *tcpConn) Send(m Message) error {
 func (c *tcpConn) Recv() (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.inbox) == 0 && !c.closed {
+	for len(c.inbox) == 0 && !c.closed && c.open > 0 {
 		c.cond.Wait()
 	}
 	if len(c.inbox) == 0 {
@@ -336,6 +347,21 @@ func (c *tcpConn) fail(err error) {
 	c.cond.Broadcast()
 }
 
+// peerClosed records a clean EOF from peer j: only that peer is
+// half-closed, and frames from every other peer keep flowing. A later
+// Send to j fails, and once no peer is left open Recv reports err, which
+// names the last peer to close.
+func (c *tcpConn) peerClosed(j NodeID, err error) {
+	c.mu.Lock()
+	c.peerEOF[j] = true
+	c.open--
+	if c.open == 0 && !c.closed && c.rerr == nil {
+		c.rerr = err
+	}
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
 // writeLoop drains peer j's outbound queue onto its stream.
 func (c *tcpConn) writeLoop(j NodeID, conn *net.TCPConn, q *outQueue) {
 	defer c.wwg.Done()
@@ -357,14 +383,14 @@ func (c *tcpConn) readLoop(j NodeID, conn *net.TCPConn) {
 	defer c.rwg.Done()
 	for {
 		from, class, typ, payload, err := readFrame(conn)
+		if err == io.EOF {
+			c.peerClosed(j, fmt.Errorf("tcp node %d <- node %d (%s): peer closed %s: %w",
+				c.self, j, c.PeerAddr(j), c.peerTraffic(j), ErrClosed))
+			return
+		}
 		if err != nil {
-			if err != io.EOF {
-				c.fail(fmt.Errorf("tcp node %d <- node %d (%s): read %s: %w",
-					c.self, j, c.PeerAddr(j), c.peerTraffic(j), err))
-			} else {
-				c.fail(fmt.Errorf("tcp node %d <- node %d (%s): peer closed %s: %w",
-					c.self, j, c.PeerAddr(j), c.peerTraffic(j), ErrClosed))
-			}
+			c.fail(fmt.Errorf("tcp node %d <- node %d (%s): read %s: %w",
+				c.self, j, c.PeerAddr(j), c.peerTraffic(j), err))
 			return
 		}
 		if from != j || class >= uint8(NumClasses) {

@@ -303,3 +303,64 @@ func TestClassString(t *testing.T) {
 		t.Errorf("out-of-range class = %q", s)
 	}
 }
+
+// TestTCPPeerCloseIsHalfClose pins the fix for a completion-rendezvous
+// race: node 0 releases nodes 1 and 2, node 1 returns and closes, and
+// node 2 reads node 1's FIN before node 0's release. That clean EOF must
+// half-close only node 1's stream — the release from node 0 must still
+// arrive. The test forces the order: node 1 closes, node 2 gets ample
+// time to read the FIN (failing at once if its Recv gives up), and only
+// then does node 0 send.
+func TestTCPPeerCloseIsHalfClose(t *testing.T) {
+	conns := mesh(t, "tcp", 3)
+	conns[1].Close()
+
+	recvd := make(chan Message, 1)
+	errc := make(chan error, 1)
+	go func() {
+		for {
+			m, err := conns[2].Recv()
+			if err != nil {
+				errc <- err
+				return
+			}
+			recvd <- m
+		}
+	}()
+	select {
+	case err := <-errc:
+		t.Fatalf("node 1's close cut node 2 off from node 0: %v", err)
+	case <-time.After(200 * time.Millisecond): // the FIN crossed loopback long ago
+	}
+
+	if err := conns[0].Send(Message{To: 2, Class: ClassBarrier, Type: 7}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-recvd:
+		if m.From != 0 || m.Type != 7 {
+			t.Errorf("node 2 received %+v, want node 0's release", m)
+		}
+	case err := <-errc:
+		t.Fatalf("node 0's release was lost after node 1 closed: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("node 0's release never arrived")
+	}
+
+	// With every peer closed no Recv can be satisfied: it fails, naming
+	// the last peer to close.
+	conns[0].Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "<- node 0 ("+conns[2].PeerAddr(0)+")") {
+			t.Errorf("Recv error %q does not name the closed peer", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still blocked after every peer closed")
+	}
+	// A send to a half-closed peer fails, naming it.
+	err := conns[2].Send(Message{To: 1, Class: ClassLock})
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "-> node 1 ("+conns[2].PeerAddr(1)+")") {
+		t.Errorf("send to closed peer: error %v does not name it", err)
+	}
+}
