@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
 
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
 ## build, race-test everything, verify the golden trace, a one-iteration
 ## pass over every benchmark so the perf kernels stay honest, the chaos
-## suite under fault injection, the windowed-engine determinism guard,
-## the multi-process cluster smoke against the simulator oracle, the
-## 256-node scale smoke, the metrics regression gate against the
-## committed baseline, the sim-vs-real counter-equivalence gate, and the
-## per-package coverage floors.
-check: vet build race golden-trace bench-smoke chaos par-check cluster-smoke scale-smoke metrics-gate diff-backends cover
+## suite under fault injection, the engine-worker determinism guard, the
+## TCP flake detector, the multi-process cluster smoke against the
+## simulator oracle, the 256-node scale smoke, the metrics regression
+## gate against the committed baseline, the sim-vs-real
+## counter-equivalence gate, and the per-package coverage floors.
+check: vet build race golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends cover
 	@echo "check: OK"
 
 vet:
@@ -49,14 +49,21 @@ bench-smoke:
 chaos:
 	CHAOS_ARTIFACT_DIR=chaos-artifacts $(GO) test ./internal/chaos ./internal/check -count=1
 
-## par-check: the windowed-engine determinism guard — byte-identical
-## checksums, run statistics, metrics reports, and Chrome traces across
+## par-check: the engine determinism guard — byte-identical checksums,
+## run statistics, metrics reports, and Chrome traces across
 ## engine-workers 1, 2, and 4, fault-free and under a fuzzed fault
-## schedule, plus the chaos engine-workers axis (sequential vs windowed
-## under random fault plans with the invariant checker attached).
+## schedule, plus the chaos engine-workers axis (workers 1, 2 and 4
+## compared with each other under random fault plans, with the
+## invariant checker attached).
 par-check:
 	$(GO) test ./internal/harness -run 'TestGuardDeterminism' -count=1
 	$(GO) test ./internal/chaos -run TestEngineWorkersUnderChaos -count=1
+
+## flake: repeat the real-TCP tests of the runtime and the transport 200
+## times. A close, teardown or ordering race that fails one run in a
+## hundred fails here instead of in someone else's tier-1 run.
+flake:
+	$(GO) test ./internal/rt ./internal/transport -run TCP -count=200
 
 ## cluster-smoke: boot a real 4-process cvm-node cluster (TCP data mesh
 ## on loopback) for sor and waternsq at test scale; the coordinator's
@@ -65,8 +72,8 @@ par-check:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-## scale-smoke: one 256-node scaleout run — checksum-identical to the
-## sequential engine, byte-identical across windowed worker counts —
+## scale-smoke: one 256-node scaleout run — validated against the app's
+## closed-form checksum, byte-identical across engine worker counts —
 ## proving the sparse page directory and spilled copysets far past the
 ## paper grid's cluster sizes.
 scale-smoke:

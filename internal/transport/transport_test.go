@@ -330,7 +330,7 @@ func TestTCPPeerCloseIsHalfClose(t *testing.T) {
 	select {
 	case err := <-errc:
 		t.Fatalf("node 1's close cut node 2 off from node 0: %v", err)
-	case <-time.After(200 * time.Millisecond): // the FIN crossed loopback long ago
+	case <-time.After(100 * time.Millisecond): // the FIN crossed loopback long ago
 	}
 
 	if err := conns[0].Send(Message{To: 2, Class: ClassBarrier, Type: 7}); err != nil {
