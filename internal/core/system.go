@@ -251,7 +251,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s.net = &s.netv
 	s.fab = s.net
 	eng := s.eng
-	eng.SetWindowHook(s.commitWindow)
+	eng.SetWindowHook((*windowHook)(s))
 	if cfg.Tracer != nil {
 		s.demux = trace.NewDemux(cfg.Nodes, cfg.Tracer)
 		s.tracer = s.demux
@@ -305,12 +305,18 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// commitWindow is the engine's window hook: with every proc quiescent at
-// the window boundary it applies a deferred steady-state reset, commits
-// the deferred network traffic, and releases the window's trace events
-// in canonical order. Each step is a pure function of simulation state,
-// keeping the commit identical at every worker count.
-func (s *System) commitWindow(limit sim.Time) {
+// windowHook is the System in its role as the engine's window hook.
+// Converting *System to it costs nothing, where a method value would
+// allocate on every cluster construction.
+type windowHook System
+
+// CommitWindow runs with every proc quiescent at the window boundary: it
+// applies a deferred steady-state reset, commits the deferred network
+// traffic, and releases the window's trace events in canonical order.
+// Each step is a pure function of simulation state, keeping the commit
+// identical at every worker count.
+func (h *windowHook) CommitWindow(limit sim.Time) {
+	s := (*System)(h)
 	if s.pendingReset >= 0 {
 		t0 := s.pendingReset
 		s.pendingReset = -1

@@ -133,7 +133,7 @@ func (n *Network) SetFaults(f *FaultParams) {
 	}
 	n.faults = f
 	if f != nil && n.chanIdx == nil {
-		n.chanIdx = make([]uint64, len(n.egressFree)*len(n.egressFree))
+		n.chanIdx = make([]uint64, len(n.ports)*len(n.ports))
 	}
 }
 
@@ -149,7 +149,7 @@ func (n *Network) FaultStats() FaultStats { return n.fstats }
 // nextChanIdx returns and advances the per-channel message index that
 // keys fault rolls for the next message from→to.
 func (n *Network) nextChanIdx(from, to NodeID) uint64 {
-	i := int(from)*len(n.egressFree) + int(to)
+	i := int(from)*len(n.ports) + int(to)
 	idx := n.chanIdx[i]
 	n.chanIdx[i]++
 	return idx

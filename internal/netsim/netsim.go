@@ -110,20 +110,7 @@ func Classes() []Class { return transport.Classes() }
 type Network struct {
 	eng    *sim.Engine
 	params Params
-
-	egressFree  []sim.Time // per-node time the NIC egress frees up
-	ingressFree []sim.Time // per-node time the ingress frees up
-
-	// bulkEgressFree/bulkIngressFree serialize unsolicited bulk data
-	// (ClassUpdate) on its own per-node lane at both ends: the dedicated
-	// protocol thread the paper argues for on SMP nodes ships and absorbs
-	// pushed updates without occupying the request/reply path, so eager
-	// data neither delays a blocked node's next fault request at the
-	// egress nor head-of-line blocks a barrier release or fault reply at
-	// the ingress. Bulk transfers still pay the per-message overheads and
-	// serialize against each other.
-	bulkEgressFree  []sim.Time
-	bulkIngressFree []sim.Time
+	ports  []port // per node
 
 	stats  Stats
 	tracer trace.Tracer        // nil when tracing is off
@@ -138,13 +125,48 @@ type Network struct {
 	chanIdx           []uint64
 	fstats            FaultStats
 	cDropped, cDupped *metrics.Counter
+}
 
-	// Sends enqueue in per-sender outboxes, and CommitWindow drains them
+// port is one node's network interface.
+type port struct {
+	egressFree  sim.Time // time the NIC egress frees up
+	ingressFree sim.Time // time the ingress frees up
+
+	// bulkEgressFree/bulkIngressFree serialize unsolicited bulk data
+	// (ClassUpdate) on its own lane at both ends: the dedicated protocol
+	// thread the paper argues for on SMP nodes ships and absorbs pushed
+	// updates without occupying the request/reply path, so eager data
+	// neither delays a blocked node's next fault request at the egress
+	// nor head-of-line blocks a barrier release or fault reply at the
+	// ingress. Bulk transfers still pay the per-message overheads and
+	// serialize against each other.
+	bulkEgressFree  sim.Time
+	bulkIngressFree sim.Time
+
+	// Sends enqueue in the sender's outbox, and CommitWindow drains it
 	// between the engine's windows. Egress serialization is resolved at
 	// send time (it is sender-local); everything that touches receiver or
 	// global state — ingress serialization, traffic accounting, fault
 	// rolls, message ids, delivery scheduling — happens at the commit.
-	outbox [][]wireMsg
+	outbox []wireMsg
+}
+
+// egressLane returns the egress serializer for a message class: the
+// protocol processor's bulk lane for unsolicited updates, the main NIC
+// path for everything else.
+func (p *port) egressLane(class Class) *sim.Time {
+	if class == ClassUpdate {
+		return &p.bulkEgressFree
+	}
+	return &p.egressFree
+}
+
+// ingressLane is egressLane's receiving counterpart.
+func (p *port) ingressLane(class Class) *sim.Time {
+	if class == ClassUpdate {
+		return &p.bulkIngressFree
+	}
+	return &p.ingressFree
 }
 
 // wireMsg is one message waiting in its sender's outbox.
@@ -167,20 +189,10 @@ func New(eng *sim.Engine, nodes int, params Params) *Network {
 
 // Init configures n in place to connect nodes 0..nodes-1, replacing any
 // previous state. It exists so a Network can be embedded by value in a
-// larger system; egress and ingress share one backing allocation. The
-// engine's window hook must call CommitWindow, or no message is ever
-// delivered.
+// larger system. The engine's window hook must call CommitWindow, or no
+// message is ever delivered.
 func (n *Network) Init(eng *sim.Engine, nodes int, params Params) {
-	free := make([]sim.Time, 4*nodes)
-	*n = Network{
-		eng:             eng,
-		params:          params,
-		egressFree:      free[:nodes:nodes],
-		ingressFree:     free[nodes : 2*nodes : 2*nodes],
-		bulkEgressFree:  free[2*nodes : 3*nodes : 3*nodes],
-		bulkIngressFree: free[3*nodes:],
-		outbox:          make([][]wireMsg, nodes),
-	}
+	*n = Network{eng: eng, params: params, ports: make([]port, nodes)}
 }
 
 // Params returns the network's cost parameters.
@@ -243,24 +255,15 @@ func (n *Network) SendFromHandler(from, to NodeID, class Class, bytes int, deliv
 // charging overhead plus the payload transfer to the lane, and appends
 // it to from's outbox for the next window commit.
 func (n *Network) enqueue(now, overhead sim.Time, from, to NodeID, class Class, bytes int, deliver func()) {
-	lane := n.egressLane(class)
-	depart := maxTime(now, lane[from])
+	p := &n.ports[from]
+	lane := p.egressLane(class)
+	depart := maxTime(now, *lane)
 	wait := depart - now
 	depart += overhead + n.params.transfer(bytes)
-	lane[from] = depart
-	n.outbox[from] = append(n.outbox[from], wireMsg{
+	*lane = depart
+	p.outbox = append(p.outbox, wireMsg{
 		sendT: now, depart: depart, egressWait: wait,
 		to: to, class: class, bytes: bytes, deliver: deliver})
-}
-
-// egressLane returns the per-node egress serializer for a message class:
-// the protocol processor's bulk lane for unsolicited updates, the main
-// NIC path for everything else.
-func (n *Network) egressLane(class Class) []sim.Time {
-	if class == ClassUpdate {
-		return n.bulkEgressFree
-	}
-	return n.egressFree
 }
 
 // arrival accounts the message and computes when its handler runs at the
@@ -273,12 +276,9 @@ func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes i
 	n.stats.Msgs[class]++
 	n.stats.Bytes[class] += int64(bytes)
 	arrive := depart + n.params.WireLatency
-	lane := n.ingressFree
-	if class == ClassUpdate {
-		lane = n.bulkIngressFree
-	}
-	handlerAt := maxTime(arrive, lane[to]) + n.params.RecvOverhead
-	lane[to] = handlerAt
+	lane := n.ports[to].ingressLane(class)
+	handlerAt := maxTime(arrive, *lane) + n.params.RecvOverhead
+	*lane = handlerAt
 	handlerAt += extra
 	if n.met != nil {
 		n.met.Latency[class].Observe(int64(handlerAt - depart))
@@ -304,8 +304,8 @@ func (n *Network) arrival(depart sim.Time, from, to NodeID, class Class, bytes i
 // traffic accounting, fault rolls, message ids, and ingress
 // serialization are identical at every worker count.
 func (n *Network) CommitWindow(limit sim.Time) {
-	for from := range n.outbox {
-		msgs := n.outbox[from]
+	for from := range n.ports {
+		msgs := n.ports[from].outbox
 		if len(msgs) == 0 {
 			continue
 		}
@@ -322,7 +322,7 @@ func (n *Network) CommitWindow(limit sim.Time) {
 			}
 			msgs[i] = wireMsg{} // release the delivery closure
 		}
-		n.outbox[from] = msgs[:0]
+		n.ports[from].outbox = msgs[:0]
 	}
 }
 

@@ -18,7 +18,7 @@ func newTestNet(nodes int, switchCost sim.Time) (*sim.Engine, *Network, []*sim.P
 		procs[i] = eng.AddProc(switchCost)
 	}
 	nw := New(eng, nodes, params)
-	eng.SetWindowHook(nw.CommitWindow)
+	eng.SetWindowHook(nw)
 	return eng, nw, procs
 }
 

@@ -59,7 +59,7 @@ type Engine struct {
 
 	workers    int  // OS threads executing proc windows
 	lookahead  Time // window width: the cross-proc latency lower bound
-	windowHook func(limit Time)
+	windowHook WindowHook
 	wg         sync.WaitGroup // workers still executing the current window
 
 	futileLimit int
@@ -89,12 +89,18 @@ func (e *Engine) Init(workers int, lookahead Time) {
 	*e = Engine{workers: workers, lookahead: lookahead, futileLimit: defaultFutileLimit}
 }
 
-// SetWindowHook installs fn to run after every window barrier, with the
-// engine quiescent, receiving the window limit just executed. The DSM
-// layer uses it to commit deferred network traffic and flush the trace
+// WindowHook applies the cross-proc work deferred during a window. The
+// DSM layer uses it to commit network traffic and flush the trace
 // demultiplexer; it is the only place one proc's work may schedule
 // events on another proc.
-func (e *Engine) SetWindowHook(fn func(limit Time)) { e.windowHook = fn }
+type WindowHook interface {
+	// CommitWindow runs after every window barrier, with the engine
+	// quiescent, receiving the limit of the window just executed.
+	CommitWindow(limit Time)
+}
+
+// SetWindowHook installs h to run after every window barrier.
+func (e *Engine) SetWindowHook(h WindowHook) { e.windowHook = h }
 
 // SetFutileLimit overrides the livelock watchdog threshold: the number of
 // consecutive events Run may execute without any task being dispatched or
@@ -299,7 +305,7 @@ func (e *Engine) Run() error {
 		}
 
 		if e.windowHook != nil {
-			e.windowHook(limit)
+			e.windowHook.CommitWindow(limit)
 		}
 	}
 }

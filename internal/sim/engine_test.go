@@ -12,6 +12,11 @@ const us = Microsecond
 // than every cross-proc interaction the tests stage.
 func newTestEngine() *Engine { return NewEngine(1, 10*us) }
 
+// hookFunc adapts a function to WindowHook.
+type hookFunc func(limit Time)
+
+func (f hookFunc) CommitWindow(limit Time) { f(limit) }
+
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		in   Time
@@ -179,7 +184,7 @@ func TestHorizonCausality(t *testing.T) {
 
 	shared := 0
 	var outbox []Time
-	e.SetWindowHook(func(limit Time) {
+	e.SetWindowHook(hookFunc(func(limit Time) {
 		for _, at := range outbox {
 			if at < limit {
 				t.Fatalf("delivery at %v inside the window ending %v", at, limit)
@@ -187,7 +192,7 @@ func TestHorizonCausality(t *testing.T) {
 			e.ScheduleOn(a, at, func() { shared = 42 })
 		}
 		outbox = outbox[:0]
-	})
+	}))
 	var sawAt Time
 	sawVal := -1
 	e.Spawn(a, "reader", func(tk *Task) {
