@@ -217,7 +217,7 @@ type tcpConn struct {
 	cond    *sync.Cond
 	inbox   []Message
 	closed  bool
-	rerr    error  // first reader failure, reported by Recv after drain
+	rerr    error  // first reader failure or last peer's EOF, reported by Recv after drain
 	peerEOF []bool // per peer: its stream ended with a clean EOF
 	open    int    // peers whose streams have not ended
 
@@ -267,7 +267,7 @@ func (c *tcpConn) Send(m Message) error {
 func (c *tcpConn) Recv() (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.inbox) == 0 && !c.closed && c.open > 0 {
+	for len(c.inbox) == 0 && !c.closed && c.rerr == nil {
 		c.cond.Wait()
 	}
 	if len(c.inbox) == 0 {
