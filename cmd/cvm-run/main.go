@@ -98,6 +98,8 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
+	set := map[string]bool{} // flags given on the command line
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *traceLimit < 0 {
 		return fmt.Errorf("-trace-limit must be >= 0, got %d", *traceLimit)
 	}
@@ -116,12 +118,8 @@ func run(args []string, out io.Writer) error {
 		if fp, err = cvm.ParseFaults(*faults, *faultSeed); err != nil {
 			return err
 		}
-	} else {
-		seedSet := false
-		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "fault-seed" })
-		if seedSet {
-			return fmt.Errorf("-fault-seed needs -faults")
-		}
+	} else if set["fault-seed"] {
+		return fmt.Errorf("-fault-seed needs -faults")
 	}
 
 	sz, err := apps.ParseSize(*size)
@@ -150,9 +148,7 @@ func run(args []string, out io.Writer) error {
 		if fp != nil {
 			return fmt.Errorf("-transport loopback cannot inject simulated faults; drop -faults")
 		}
-		workersSet := false
-		fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "engine-workers" })
-		if workersSet {
+		if set["engine-workers"] {
 			return fmt.Errorf("-engine-workers tunes the simulator's DES engine; drop it with -transport loopback")
 		}
 		if *compressDiffs {
