@@ -1,17 +1,21 @@
 GO ?= go
 
-.PHONY: check vet build test race cover golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check fmt vet build test race cover golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
 
-## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — vet,
-## build, race-test everything, verify the golden trace, a one-iteration
+## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — gofmt,
+## vet, build, race-test everything, verify the golden trace, a one-iteration
 ## pass over every benchmark so the perf kernels stay honest, the chaos
 ## suite under fault injection, the engine-worker determinism guard, the
 ## TCP flake detector, the multi-process cluster smoke against the
 ## simulator oracle, the 256-node scale smoke, the metrics regression
 ## gate against the committed baseline, the sim-vs-real
 ## counter-equivalence gate, and the per-package coverage floors.
-check: vet build race golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends cover
+check: fmt vet build race golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends cover
 	@echo "check: OK"
+
+## fmt: fail if any Go file is not gofmt-formatted, naming the files.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -329,10 +329,14 @@ func (lr *liveRun) report() *metrics.Report {
 	if info == nil {
 		return nil
 	}
+	snap := info.Cluster.MetricsSnapshot()
+	if snap == nil {
+		return nil
+	}
 	rep := metrics.NewReport(metrics.Meta{
 		App:    info.Spec.App,
 		Config: fmt.Sprintf("%dx%d size=%s", info.Spec.Nodes, info.Spec.Threads, info.Spec.Size),
-	}, info.Metrics.Snapshot(), lr.topN)
+	}, snap, lr.topN)
 	rep.Real = rt.RealStats("tcp", info.Spec.Nodes, time.Since(start), info.Conn.Stats())
 	return rep
 }

@@ -131,7 +131,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	wantMetrics := *metricsOut != "" || *metricsCSV != "" || *showReport
+	opts := runOpts{
+		app: *appName, size: sz, sizeName: *size,
+		nodes: *nodes, threads: levels[0],
+		traceOut: *traceOut, traceLimit: *traceLimit,
+		metricsOut: *metricsOut, metricsCSV: *metricsCSV,
+		report:      *showReport,
+		wantMetrics: *metricsOut != "" || *metricsCSV != "" || *showReport,
+		interval:    cvm.Time((*metricsBin).Nanoseconds()), topN: *metricsTopN,
+		faults: fp, check: *checkRun, engineWorkers: *engineWorkers,
+		compressDiffs: *compressDiffs, adapt: *adapt, migrate: *migrate,
+	}
 	switch *backend {
 	case "sim":
 	case "loopback":
@@ -163,31 +173,16 @@ func run(args []string, out io.Writer) error {
 		if len(levels) != 1 {
 			return fmt.Errorf("-transport loopback needs a single -threads level, got %q", *threads)
 		}
-		return runLoopback(out, loopbackOpts{
-			app: *appName, size: sz, sizeName: *size,
-			nodes: *nodes, threads: levels[0],
-			traceOut: *traceOut, traceLimit: *traceLimit,
-			metricsOut: *metricsOut, metricsCSV: *metricsCSV,
-			report: *showReport, wantMetrics: wantMetrics, topN: *metricsTopN,
-		})
+		return runLoopback(out, opts)
 	default:
 		return fmt.Errorf("-transport must be sim or loopback, got %q", *backend)
 	}
 
-	if *traceOut != "" || wantMetrics || *checkRun {
+	if *traceOut != "" || opts.wantMetrics || *checkRun {
 		if len(levels) != 1 {
 			return fmt.Errorf("-trace/-metrics/-report/-check need a single -threads level, got %q", *threads)
 		}
-		return runInstrumented(out, instrumentOpts{
-			app: *appName, size: sz, sizeName: *size,
-			nodes: *nodes, threads: levels[0],
-			traceOut: *traceOut, traceLimit: *traceLimit,
-			metricsOut: *metricsOut, metricsCSV: *metricsCSV,
-			report: *showReport, wantMetrics: wantMetrics,
-			interval: cvm.Time((*metricsBin).Nanoseconds()), topN: *metricsTopN,
-			faults: fp, check: *checkRun, engineWorkers: *engineWorkers,
-			compressDiffs: *compressDiffs, adapt: *adapt, migrate: *migrate,
-		})
+		return runInstrumented(out, opts)
 	}
 
 	// The sweep's cells are independent simulations; fan them out over
@@ -229,9 +224,10 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// instrumentOpts parameterizes one instrumented (traced and/or metered)
-// run.
-type instrumentOpts struct {
+// runOpts parameterizes one single-level run on either backend:
+// instrumented on the simulator, or on loopback, where runLoopback
+// ignores the simulator-only knobs (run rejects them when set).
+type runOpts struct {
 	app      string
 	size     apps.Size
 	sizeName string
@@ -256,22 +252,39 @@ type instrumentOpts struct {
 	migrate       bool
 }
 
+// instruments creates the run's trace recorder and metrics registry,
+// each nil unless requested.
+func (o runOpts) instruments() (*trace.Recorder, *metrics.Registry) {
+	var rec *trace.Recorder
+	if o.traceOut != "" {
+		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+	}
+	var reg *metrics.Registry
+	if o.wantMetrics {
+		reg = metrics.NewRegistry()
+		if o.interval > 0 {
+			reg.SetInterval(o.interval)
+		}
+	}
+	return rec, reg
+}
+
 // runInstrumented executes one simulation with tracing and/or metrics
 // attached, prints the statistics, and writes the requested artifacts.
 // Both instruments observe without advancing virtual time, so they
 // compose without perturbing each other or the run.
-func runInstrumented(out io.Writer, o instrumentOpts) error {
+func runInstrumented(out io.Writer, o runOpts) error {
 	cfg := cvm.DefaultConfig(o.nodes, o.threads)
 	cfg.Faults = o.faults
 	cfg.EngineWorkers = o.engineWorkers
 	cfg.CompressDiffs = o.compressDiffs
 	cfg.Adapt = o.adapt
 	cfg.Migrate = o.migrate
-	var rec *trace.Recorder
-	if o.traceOut != "" {
-		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+	rec, reg := o.instruments()
+	if rec != nil {
 		cfg.Tracer = rec
 	}
+	cfg.Metrics = reg
 	var chk *check.Checker
 	if o.check {
 		chk = check.New(o.nodes, o.threads)
@@ -280,14 +293,6 @@ func runInstrumented(out io.Writer, o instrumentOpts) error {
 		} else {
 			cfg.Tracer = chk
 		}
-	}
-	var reg *cvm.Metrics
-	if o.wantMetrics {
-		reg = cvm.NewMetrics()
-		if o.interval > 0 {
-			reg.SetInterval(o.interval)
-		}
-		cfg.Metrics = reg
 	}
 
 	st, err := apps.RunConfig(o.app, o.size, cfg)
@@ -312,65 +317,7 @@ func runInstrumented(out io.Writer, o instrumentOpts) error {
 		}
 		fmt.Fprintln(out, "\ninvariant checker: no violations")
 	}
-
-	if rec != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChrome(f, rec); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), o.traceOut)
-	}
-
-	if reg == nil {
-		return nil
-	}
-	rep := cvm.NewMetricsReport(o.app,
-		fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
-		reg.Snapshot(), o.topN)
-	if o.report {
-		fmt.Fprintln(out)
-		if err := rep.WriteText(out); err != nil {
-			return err
-		}
-	}
-	if o.metricsOut != "" {
-		if err := writeFileWith(o.metricsOut, rep.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote metrics report to %s\n", o.metricsOut)
-	}
-	if o.metricsCSV != "" {
-		if err := writeFileWith(o.metricsCSV, rep.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote metrics CSV to %s\n", o.metricsCSV)
-	}
-	return nil
-}
-
-// loopbackOpts parameterizes one real-runtime loopback run.
-type loopbackOpts struct {
-	app      string
-	size     apps.Size
-	sizeName string
-	nodes    int
-	threads  int
-
-	traceOut   string
-	traceLimit int
-
-	metricsOut  string
-	metricsCSV  string
-	report      bool
-	wantMetrics bool
-	topN        int
+	return writeArtifacts(out, o, rec, reg, nil)
 }
 
 // runLoopback executes one run on the real runtime over the in-process
@@ -382,7 +329,7 @@ type loopbackOpts struct {
 // simulator's report shape (plus a "real transport" section), so the
 // two backends' profiles are directly comparable — see
 // cvm-metrics diff-backends.
-func runLoopback(out io.Writer, o loopbackOpts) error {
+func runLoopback(out io.Writer, o runOpts) error {
 	app, err := apps.New(o.app, o.size)
 	if err != nil {
 		return err
@@ -391,16 +338,11 @@ func runLoopback(out io.Writer, o loopbackOpts) error {
 		return fmt.Errorf("%s does not support %d threads per node", o.app, o.threads)
 	}
 	cfg := rt.DefaultConfig(o.nodes, o.threads)
-	var met *rt.Metrics
-	if o.wantMetrics {
-		met = rt.NewMetrics()
-		cfg.Metrics = met
-	}
-	var rec *trace.Recorder
-	if o.traceOut != "" {
-		rec = trace.NewRecorder(o.nodes, o.threads, o.traceLimit)
+	rec, reg := o.instruments()
+	if rec != nil {
 		cfg.Tracer = rec
 	}
+	cfg.Metrics = reg
 	cl, err := rt.NewCluster(cfg)
 	if err != nil {
 		return err
@@ -428,7 +370,13 @@ func runLoopback(out io.Writer, o loopbackOpts) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	return writeArtifacts(out, o, rec, reg, rt.RealStats("loopback", o.nodes, res.Elapsed, res.Net))
+}
 
+// writeArtifacts writes a finished run's requested artifacts: the
+// Chrome trace, then the metrics report as text, JSON and CSV. real,
+// when non-nil, stamps the report as a wall-clock backend's.
+func writeArtifacts(out io.Writer, o runOpts, rec *trace.Recorder, reg *metrics.Registry, real *metrics.RealStats) error {
 	if rec != nil {
 		if err := writeFileWith(o.traceOut, func(w io.Writer) error {
 			return trace.WriteChrome(w, rec)
@@ -438,14 +386,14 @@ func runLoopback(out io.Writer, o loopbackOpts) error {
 		fmt.Fprintf(out, "\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), o.traceOut)
 	}
 
-	if met == nil {
+	if reg == nil {
 		return nil
 	}
 	rep := metrics.NewReport(metrics.Meta{
 		App:    o.app,
 		Config: fmt.Sprintf("%dx%d size=%s", o.nodes, o.threads, o.sizeName),
-	}, met.Snapshot(), o.topN)
-	rep.Real = rt.RealStats("loopback", o.nodes, res.Elapsed, res.Net)
+	}, reg.Snapshot(), o.topN)
+	rep.Real = real
 	if o.report {
 		fmt.Fprintln(out)
 		if err := rep.WriteText(out); err != nil {

@@ -112,7 +112,6 @@ type RunInfo struct {
 	Spec    Spec
 	Cluster *rt.Cluster
 	Conn    transport.Conn
-	Metrics *rt.Metrics
 }
 
 func (o *Options) withDefaults() Options {
@@ -207,7 +206,7 @@ func (cc *ctrlConn) recv(wantType string) (ctrlMsg, error) {
 // shared address space lays out the same everywhere. met is always
 // attached: cluster runs collect wall-clock metrics unconditionally so
 // the coordinator can merge and report them.
-func buildApp(spec Spec, met *rt.Metrics, tracer trace.Tracer) (apps.App, *rt.Cluster, error) {
+func buildApp(spec Spec, met *metrics.Registry, tracer trace.Tracer) (apps.App, *rt.Cluster, error) {
 	size, err := apps.ParseSize(spec.Size)
 	if err != nil {
 		return nil, nil, err
@@ -397,7 +396,7 @@ func Coordinate(listen string, spec Spec, opts Options) (Outcome, error) {
 	defer conn.Close()
 	sever.add(conn)
 
-	met := rt.NewMetrics()
+	met := metrics.NewRegistry()
 	app, cl, err := buildApp(spec, met, o.Tracer)
 	if err != nil {
 		return abort(err)
@@ -415,7 +414,7 @@ func Coordinate(listen string, spec Spec, opts Options) (Outcome, error) {
 	fmt.Fprintf(o.Log, "coordinator: mesh up, %d nodes x %d threads running %s/%s\n",
 		spec.Nodes, spec.Threads, spec.App, spec.Size)
 	if o.Started != nil {
-		o.Started(RunInfo{Node: 0, Spec: spec, Cluster: cl, Conn: conn, Metrics: met})
+		o.Started(RunInfo{Node: 0, Spec: spec, Cluster: cl, Conn: conn})
 	}
 
 	res, runErr := cl.RunNode(conn, app.Main)
@@ -522,7 +521,7 @@ func Join(coord string, nodeID, nodes int, opts Options) (Outcome, error) {
 	}
 	defer conn.Close()
 	sever.add(conn)
-	met := rt.NewMetrics()
+	met := metrics.NewRegistry()
 	app, cl, err := buildApp(spec, met, o.Tracer)
 	if err != nil {
 		cc.send(ctrlMsg{Type: "result", Node: nodeID, OK: false, Err: err.Error()})
@@ -537,7 +536,7 @@ func Join(coord string, nodeID, nodes int, opts Options) (Outcome, error) {
 	fmt.Fprintf(o.Log, "node %d: running %s/%s on %d nodes x %d threads\n",
 		nodeID, spec.App, spec.Size, spec.Nodes, spec.Threads)
 	if o.Started != nil {
-		o.Started(RunInfo{Node: nodeID, Spec: spec, Cluster: cl, Conn: conn, Metrics: met})
+		o.Started(RunInfo{Node: nodeID, Spec: spec, Cluster: cl, Conn: conn})
 	}
 
 	res, runErr := cl.RunNode(conn, app.Main)

@@ -9,7 +9,7 @@ import (
 
 	"cvm"
 	"cvm/internal/apps"
-	"cvm/internal/rt"
+	"cvm/internal/metrics"
 	"cvm/internal/transport"
 )
 
@@ -205,7 +205,7 @@ func (fm *fakeMember) close() {
 // own RunNode completes and the failure can be injected afterwards.
 func (fm *fakeMember) runApp() {
 	fm.t.Helper()
-	app, cl, err := buildApp(fm.spec, rt.NewMetrics(), nil)
+	app, cl, err := buildApp(fm.spec, metrics.NewRegistry(), nil)
 	if err != nil {
 		fm.t.Fatal(err)
 	}

@@ -89,10 +89,7 @@ func (ctl *adaptController) decideMigrations() []migOrder {
 // on the destination when the migrate message delivers.
 func (n *node) migrateOut(barrierID int, o *migOrder) {
 	sys := n.sys
-	if o.gid >= len(sys.byTask) {
-		return
-	}
-	th := sys.byTask[o.gid]
+	th := sys.thread(o.gid)
 	if th == nil || th.node != n {
 		return
 	}

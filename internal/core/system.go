@@ -83,13 +83,6 @@ type Config struct {
 	// and therefore transfer times, change.
 	CompressDiffs bool
 
-	// NoPagePooling disables the per-node page-backing arena: page
-	// copies and twins are freshly allocated on demand and never reuse
-	// backing storage. Simulation results are identical either way; the
-	// span benchmarks use it to keep the pooled and unpooled allocation
-	// profiles separately measurable.
-	NoPagePooling bool
-
 	// Adapt enables per-page adaptive coherence: an online classifier
 	// consumes the per-epoch fault and write-notice attribution already
 	// flowing through the barrier manager, tags each page's sharing
@@ -219,12 +212,6 @@ type System struct {
 	// barrier manager's (node 0's) engine context, so it needs no
 	// locking at any engine worker count.
 	adapt *adaptController
-
-	// byTask maps engine task IDs to threads. Task IDs equal spawn
-	// order, which equals the global thread id, but with migration a
-	// thread's current node is dynamic, so the lookup table is the
-	// authoritative mapping.
-	byTask []*Thread
 }
 
 // NewSystem builds a cluster from cfg.
@@ -381,7 +368,6 @@ func (s *System) Start(main func(*Thread)) error {
 	for _, n := range s.nodes {
 		n.initPages(totalPages)
 	}
-	s.byTask = make([]*Thread, s.cfg.Nodes*s.cfg.ThreadsPerNode)
 	for i := 0; i < s.cfg.Nodes; i++ {
 		n := s.nodes[i]
 		n.resident = s.cfg.ThreadsPerNode
@@ -405,7 +391,6 @@ func (s *System) Start(main func(*Thread)) error {
 			// so spawning allocates neither a closure nor a string for
 			// common cluster shapes.
 			th.task = s.eng.SpawnRunner(n.proc, threadName(i, j), th)
-			s.byTask[th.gid] = th
 		}
 	}
 	return nil
@@ -441,22 +426,30 @@ func (s *System) Run() (err error) {
 
 // threadOf maps an engine task back to its application thread. Threads
 // are spawned in global-ID order, so a thread's task ID equals its gid;
-// the identity check rejects any other task. The table (rather than
-// task-ID arithmetic over the node layout) keeps the mapping valid once
-// migration moves threads between nodes.
+// the identity check rejects any other task.
 func (s *System) threadOf(task *sim.Task) *Thread {
 	if task == nil {
 		return nil
 	}
-	id := task.ID()
-	if id >= len(s.byTask) {
-		return nil
-	}
-	th := s.byTask[id]
+	th := s.thread(task.ID())
 	if th == nil || th.task != task {
 		return nil
 	}
 	return th
+}
+
+// thread returns the thread with global id gid, or nil before Start or
+// for an id outside the cluster. A thread's struct stays in its home
+// node's threads slice when it migrates, so the home layout finds it.
+func (s *System) thread(gid int) *Thread {
+	t := s.cfg.ThreadsPerNode
+	if gid < 0 || gid/t >= len(s.nodes) {
+		return nil
+	}
+	if ths := s.nodes[gid/t].threads; gid%t < len(ths) {
+		return &ths[gid%t]
+	}
+	return nil
 }
 
 // threadNames precomputes the diagnostic names of threads in common

@@ -105,8 +105,7 @@ func runLoopbackProbe(app string, size apps.Size, nodes, threads int) (float64, 
 		return 0, nil, err
 	}
 	rcfg := rt.DefaultConfig(nodes, threads)
-	met := rt.NewMetrics()
-	rcfg.Metrics = met
+	rcfg.Metrics = metrics.NewRegistry()
 	cl, err := rt.NewCluster(rcfg)
 	if err != nil {
 		return 0, nil, err
@@ -120,5 +119,5 @@ func runLoopbackProbe(app string, size apps.Size, nodes, threads int) (float64, 
 	if err := a.Check(); err != nil {
 		return 0, nil, fmt.Errorf("harness: loopback backend: %w", err)
 	}
-	return a.Checksum(), met.Snapshot(), nil
+	return a.Checksum(), rcfg.Metrics.Snapshot(), nil
 }

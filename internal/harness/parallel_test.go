@@ -126,9 +126,9 @@ func TestClampWorkers(t *testing.T) {
 		workers, jobs, wantMin, wantMax int
 	}{
 		{1, 10, 1, 1},
-		{4, 2, 2, 2},   // never more workers than jobs
-		{-1, 5, 1, 5},  // ≤ 0 means DefaultParallelism, capped by jobs
-		{0, 0, 1, 1},   // zero jobs still yields a valid count
+		{4, 2, 2, 2},  // never more workers than jobs
+		{-1, 5, 1, 5}, // ≤ 0 means DefaultParallelism, capped by jobs
+		{0, 0, 1, 1},  // zero jobs still yields a valid count
 		{16, 16, 16, 16},
 	}
 	for _, tt := range tests {

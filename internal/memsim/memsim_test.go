@@ -315,7 +315,7 @@ func TestAccessStride8Equivalence(t *testing.T) {
 			cnt  int
 		}{
 			{0, 1}, {0, 7}, {8, 8}, {24, 1000}, {8000, 64}, // page-crossing
-			{1 << 20, 4096}, {40, 3}, {48, 3}, {0, 2048},   // re-sweep
+			{1 << 20, 4096}, {40, 3}, {48, 3}, {0, 2048}, // re-sweep
 		}
 		for _, sp := range spans {
 			cf := fast.AccessStride8(sp.addr, sp.cnt)

@@ -1,7 +1,8 @@
-// Package metrics is the virtual-time metrics layer of the simulated
-// DSM: a deterministic registry of counters, gauges, and fixed-bucket
-// log-scale histograms, plus the hot-spot attribution behind the
-// per-page and per-lock profiler tables.
+// Package metrics is the metrics layer of the DSM: a registry of
+// counters, gauges, and fixed-bucket log-scale histograms, plus the
+// hot-spot attribution behind the per-page and per-lock profiler
+// tables. The simulator fills it in virtual time; the real runtime
+// (internal/rt) fills the same registry in wall time.
 //
 // Like trace.Tracer, the registry is nil-checkable: hot paths hold a
 // per-node *NodeMetrics (or the *Registry itself) and guard every
@@ -10,11 +11,19 @@
 // allocation on the hot path beyond the amortized growth of the
 // attribution maps and timeline bins.
 //
-// Because the simulator dispatches one entity at a time in virtual-time
-// order, observation order is deterministic and the registry needs no
-// locking; a Registry must not be shared between concurrent systems.
-// The serialized Snapshot — and therefore every report built from it —
-// is byte-reproducible for a given configuration.
+// Concurrency contract: the registry has no locks. Every observation
+// attributed to a node — its NodeMetrics, PageFaultWait,
+// LockAcquireWait, TimelineAdd and the Count methods — touches only
+// that node's shard, so one writer per node shard may run concurrently
+// with the other nodes' writers (the simulator's engine workers, or the
+// real runtime's nodes). The shared Net histograms and fault counters
+// need a single writer. Snapshot reads every shard, so a caller that
+// snapshots while observations may still run must serialize it against
+// every writer itself. A Registry serves one run of one system.
+//
+// In the simulator observation order per node is deterministic, so the
+// serialized Snapshot — and therefore every report built from it — is
+// byte-reproducible for a given configuration.
 package metrics
 
 import (
@@ -355,10 +364,11 @@ func (s *Snapshot) Clone() *Snapshot {
 	return out
 }
 
-// Registry collects a run's metrics. Create with NewRegistry, set on
-// core.Config.Metrics; the system configures the shape at construction.
-// A Registry observes one system's single run and must not be shared
-// between concurrent systems.
+// Registry collects a run's metrics. Create with NewRegistry and set it
+// on core.Config.Metrics or rt.Config.Metrics; the system configures
+// the shape at construction (rt at run start). A Registry observes one
+// system's single run and must not be shared between systems; see the
+// package doc for which observations may run concurrently.
 type Registry struct {
 	configured bool
 	interval   sim.Time

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cvm/internal/apps"
+	"cvm/internal/metrics"
 	"cvm/internal/rt"
 )
 
@@ -20,7 +21,7 @@ func benchLoopback(b *testing.B, withMetrics bool) {
 		}
 		cfg := rt.DefaultConfig(4, 2)
 		if withMetrics {
-			cfg.Metrics = rt.NewMetrics()
+			cfg.Metrics = metrics.NewRegistry()
 		}
 		cl, err := rt.NewCluster(cfg)
 		if err != nil {

@@ -1,217 +1,62 @@
 package rt
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"cvm/internal/core"
 	"cvm/internal/metrics"
-	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
 )
 
-// Metrics collects a real-execution cluster's wall-clock protocol
-// metrics into the same Snapshot shape the simulator's registry
-// produces, so the existing reporter, merge, and compare tooling work
-// unchanged on real runs. Histogram values are nanoseconds of wall
-// time (virtual nanoseconds in the simulator's reports) — time-typed
-// metrics are therefore comparable only side by side, while the
-// backend-invariant counters (see metrics.BackendInvariantCounters)
-// must match the simulator exactly.
-//
-// Unlike the simulator's registry, observations here are concurrent:
-// workers on different nodes (and the dispatcher) observe in parallel,
-// so each node's shard carries its own mutex. A Metrics is attached to
-// one rt.Config; in a multi-process cluster each process observes only
-// its own node's shard, and the coordinator merges the per-node
-// snapshots in node order.
-type Metrics struct {
-	mu     sync.Mutex
-	nodes  int
-	shards []rtMetShard
-}
-
-// rtMetShard is one node's mutex-guarded observation shard.
-type rtMetShard struct {
-	mu       sync.Mutex
-	nm       metrics.NodeMetrics
-	pageWait map[int32]*metrics.WaitAttr
-	lockWait map[int32]*metrics.WaitAttr
-
-	lockAcquires         int64
-	lockReleases         int64
-	barrierArrivals      int64
-	localBarrierArrivals int64
-	reductions           int64
-}
-
-// NewMetrics returns an empty collector; attach it via Config.Metrics.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// configure sizes the collector for the cluster. Reattaching the same
-// collector to a differently-shaped cluster panics; reattaching to the
-// same shape accumulates (a multi-run aggregate is meaningless for the
-// equivalence gate, so callers use a fresh Metrics per run).
-func (m *Metrics) configure(nodes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.shards == nil {
-		m.nodes = nodes
-		m.shards = make([]rtMetShard, nodes)
-		for i := range m.shards {
-			m.shards[i].pageWait = make(map[int32]*metrics.WaitAttr)
-			m.shards[i].lockWait = make(map[int32]*metrics.WaitAttr)
+// publish makes the run's nodes visible to Status and MetricsSnapshot
+// and configures the metrics registry for the cluster, both under
+// runMu so a concurrent MetricsSnapshot never sees a half-configured
+// registry.
+func (c *Cluster) publish(nodes []*rnode) {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	if m := c.cfg.Metrics; m != nil {
+		classes := make([]string, 0, transport.NumClasses)
+		for _, cl := range transport.Classes() {
+			classes = append(classes, cl.String())
 		}
+		m.Configure(c.cfg.Nodes, classes)
+	}
+	c.rnodes = nodes
+}
+
+// MetricsSnapshot returns the metrics collected so far, or nil when the
+// cluster collects none or its run has not started. It holds every
+// local node's metMu while the registry folds its shards, so it is safe
+// to call concurrently with the run — the debug server scrapes mid-run.
+// Nodes is sized for the whole cluster; under RunNode only this
+// process's node is populated.
+func (c *Cluster) MetricsSnapshot() *metrics.Snapshot {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	if c.cfg.Metrics == nil || c.rnodes == nil {
+		return nil
+	}
+	for _, n := range c.rnodes {
+		n.metMu.Lock()
+		defer n.metMu.Unlock()
+	}
+	return c.cfg.Metrics.Snapshot()
+}
+
+// observe applies fn, which observes only into this node's shard, to
+// the run's registry under metMu. It is a no-op when the run collects
+// no metrics. Caller holds tok, so the shard has one writer at a time;
+// metMu only orders the observation against a concurrent
+// MetricsSnapshot.
+func (n *rnode) observe(fn func(m *metrics.Registry)) {
+	if n.met == nil {
 		return
 	}
-	if m.nodes != nodes {
-		panic(fmt.Sprintf("rt: Metrics attached to a %d-node cluster after a %d-node one",
-			nodes, m.nodes))
-	}
-}
-
-func (m *Metrics) shard(node int) *rtMetShard { return &m.shards[node] }
-
-// observeFault records one remote page fetch: service time (request to
-// install) and the faulting thread's blocked time, attributed to pg.
-func (m *Metrics) observeFault(node int, pg core.PageID, d sim.Time) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.nm.FaultService.Observe(int64(d))
-	sh.nm.FaultThreadWait.Observe(int64(d))
-	attrAdd(sh.pageWait, int32(pg), int64(d))
-	sh.mu.Unlock()
-}
-
-// observeLock records one lock acquire: request-to-grant wait,
-// classified by whether the manager was local (no wire messages) or
-// remote (the runtime's centralized managers make every remote acquire
-// a 2-hop exchange; Lock3Hop stays empty by construction).
-func (m *Metrics) observeLock(node int, id int32, d sim.Time, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	if local {
-		sh.nm.LockLocalWait.Observe(int64(d))
-	} else {
-		sh.nm.Lock2Hop.Observe(int64(d))
-	}
-	attrAdd(sh.lockWait, id, int64(d))
-	sh.lockAcquires++
-	sh.mu.Unlock()
-}
-
-// countUnlock records one application-level Unlock.
-func (m *Metrics) countUnlock(node int) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.lockReleases++
-	sh.mu.Unlock()
-}
-
-// countBarrierArrive records one global-barrier arrival.
-func (m *Metrics) countBarrierArrive(node int, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	if local {
-		sh.localBarrierArrivals++
-	} else {
-		sh.barrierArrivals++
-	}
-	sh.mu.Unlock()
-}
-
-// observeBarrierStall records one thread's arrive-to-release stall.
-func (m *Metrics) observeBarrierStall(node int, d sim.Time, local bool) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	if local {
-		sh.nm.LocalBarrierStall.Observe(int64(d))
-	} else {
-		sh.nm.BarrierStall.Observe(int64(d))
-	}
-	sh.mu.Unlock()
-}
-
-// countReduce records one global-reduction arrival.
-func (m *Metrics) countReduce(node int) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.reductions++
-	sh.mu.Unlock()
-}
-
-// observeDiff records the wire size of one diff shipped to a home.
-func (m *Metrics) observeDiff(node int, bytes int64) {
-	sh := m.shard(node)
-	sh.mu.Lock()
-	sh.nm.DiffBytes.Observe(bytes)
-	sh.mu.Unlock()
-}
-
-func attrAdd(m map[int32]*metrics.WaitAttr, k int32, ns int64) {
-	a := m[k]
-	if a == nil {
-		a = &metrics.WaitAttr{}
-		m[k] = a
-	}
-	a.WaitNs += ns
-	a.Count++
-}
-
-func foldAttr(dst, src map[int32]*metrics.WaitAttr) {
-	for k, a := range src {
-		d := dst[k]
-		if d == nil {
-			d = &metrics.WaitAttr{}
-			dst[k] = d
-		}
-		d.WaitNs += a.WaitNs
-		d.Count += a.Count
-	}
-}
-
-// Snapshot folds the shards into a full-shape metrics snapshot: Nodes
-// is sized for the whole cluster (a member process's snapshot has only
-// its own node populated), and MsgClasses carries the transport class
-// names so network-shaped fields mean the same thing as the
-// simulator's. Safe to call concurrently with observation — the debug
-// server scrapes mid-run.
-func (m *Metrics) Snapshot() *metrics.Snapshot {
-	m.mu.Lock()
-	nodes := m.nodes
-	m.mu.Unlock()
-	classes := make([]string, 0, transport.NumClasses)
-	for _, cl := range transport.Classes() {
-		classes = append(classes, cl.String())
-	}
-	out := &metrics.Snapshot{
-		Nodes: make([]metrics.NodeMetrics, nodes),
-		Net: metrics.NetMetrics{
-			Latency:     make([]metrics.Histogram, len(classes)),
-			EgressWait:  make([]metrics.Histogram, len(classes)),
-			IngressWait: make([]metrics.Histogram, len(classes)),
-		},
-		MsgClasses: classes,
-		PageWait:   make(map[int32]*metrics.WaitAttr),
-		LockWait:   make(map[int32]*metrics.WaitAttr),
-		Timeline:   make([][]metrics.TimelineBin, nodes),
-	}
-	for i := 0; i < nodes; i++ {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		out.Nodes[i] = sh.nm
-		foldAttr(out.PageWait, sh.pageWait)
-		foldAttr(out.LockWait, sh.lockWait)
-		out.LockAcquires.Add(sh.lockAcquires)
-		out.LockReleases.Add(sh.lockReleases)
-		out.BarrierArrivals.Add(sh.barrierArrivals)
-		out.LocalBarrierArrivals.Add(sh.localBarrierArrivals)
-		out.Reductions.Add(sh.reductions)
-		sh.mu.Unlock()
-	}
-	return out
+	n.metMu.Lock()
+	fn(n.met)
+	n.metMu.Unlock()
 }
 
 // lockedTracer serializes Emit calls: trace.Recorder is not
@@ -220,6 +65,14 @@ func (m *Metrics) Snapshot() *metrics.Snapshot {
 type lockedTracer struct {
 	mu sync.Mutex
 	tr trace.Tracer
+}
+
+// lockedTracer wraps the configured tracer, or returns nil without one.
+func (c *Cluster) lockedTracer() *lockedTracer {
+	if c.cfg.Tracer == nil {
+		return nil
+	}
+	return &lockedTracer{tr: c.cfg.Tracer}
 }
 
 func (lt *lockedTracer) emit(e trace.Event) {

@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"runtime"
 	"testing"
 
 	"cvm"
@@ -10,20 +11,45 @@ import (
 )
 
 // runMetered runs a lock/barrier workload with metrics and tracing
-// attached and returns the snapshot plus the recorder.
-func runMetered(t *testing.T, nodes, threads, iters int) (*metrics.Snapshot, *trace.Recorder, *rt.Cluster) {
+// attached and returns the snapshot plus the recorder. during, when
+// non-nil, is called in a loop from a second goroutine while the run
+// executes; thread 0 holds the run until the first call returns, so at
+// least one call overlaps it.
+func runMetered(t *testing.T, nodes, threads, iters int, during func(*rt.Cluster)) (*metrics.Snapshot, *trace.Recorder, *rt.Cluster) {
 	t.Helper()
 	cfg := rt.DefaultConfig(nodes, threads)
-	met := rt.NewMetrics()
 	rec := trace.NewRecorder(nodes, threads, 0)
-	cfg.Metrics = met
+	cfg.Metrics = metrics.NewRegistry()
 	cfg.Tracer = rec
 	c, err := rt.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctr := cvm.MustAllocF64(c, "ctr", 1)
-	if _, err := c.RunLoopback(func(w cvm.Worker) {
+	started, scraped := make(chan struct{}), make(chan struct{})
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		if during == nil {
+			return
+		}
+		<-started
+		during(c)
+		close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				during(c)
+			}
+		}
+	}()
+	_, err = c.RunLoopback(func(w cvm.Worker) {
+		if during != nil && w.GlobalID() == 0 {
+			close(started)
+			<-scraped
+		}
 		for i := 0; i < iters; i++ {
 			w.Lock(3)
 			ctr.Add(w, 0, 1)
@@ -32,26 +58,29 @@ func runMetered(t *testing.T, nodes, threads, iters int) (*metrics.Snapshot, *tr
 		w.Barrier(0)
 		w.LocalBarrier(1)
 		w.ReduceF64(2, 1, 0)
-	}); err != nil {
+	})
+	close(stop)
+	<-polled
+	if err != nil {
 		t.Fatal(err)
 	}
-	return met.Snapshot(), rec, c
+	return c.MetricsSnapshot(), rec, c
 }
 
-// TestMetricsCountsSyncOps checks the backend-invariant counters: each
-// is program-determined — exactly one increment per application call —
-// which is the property the sim-vs-real equivalence gate relies on.
-func TestMetricsCountsSyncOps(t *testing.T) {
-	const nodes, threads, iters = 4, 2, 5
-	snap, _, _ := runMetered(t, nodes, threads, iters)
-	nt := int64(nodes * threads)
+// checkSyncCounts checks the backend-invariant counters of a runMetered
+// snapshot: each is program-determined — exactly one increment per
+// application call — which is the property the sim-vs-real equivalence
+// gate relies on.
+func checkSyncCounts(t *testing.T, snap *metrics.Snapshot, nodes, threads, iters int) {
+	t.Helper()
+	nt, it := int64(nodes*threads), int64(iters)
 	for _, tc := range []struct {
 		name string
 		got  metrics.Counter
 		want int64
 	}{
-		{"lock_acquires", snap.LockAcquires, nt * iters},
-		{"lock_releases", snap.LockReleases, nt * iters},
+		{"lock_acquires", snap.LockAcquires, nt * it},
+		{"lock_releases", snap.LockReleases, nt * it},
 		{"barrier_arrivals", snap.BarrierArrivals, nt},
 		{"local_barrier_arrivals", snap.LocalBarrierArrivals, nt},
 		{"reductions", snap.Reductions, nt},
@@ -62,6 +91,36 @@ func TestMetricsCountsSyncOps(t *testing.T) {
 	}
 }
 
+func TestMetricsCountsSyncOps(t *testing.T) {
+	const nodes, threads, iters = 4, 2, 5
+	snap, _, _ := runMetered(t, nodes, threads, iters, nil)
+	checkSyncCounts(t, snap, nodes, threads, iters)
+}
+
+// TestMetricsLiveScrape exercises the "safe to call mid-run" promise:
+// a second goroutine snapshots the metrics and the status in a loop
+// while the run executes (run under -race, this checks that every
+// observation is ordered against the scrape). Scraping must not
+// perturb the counts.
+func TestMetricsLiveScrape(t *testing.T) {
+	const nodes, threads, iters = 4, 2, 20
+	scrapes := 0
+	snap, _, _ := runMetered(t, nodes, threads, iters, func(c *rt.Cluster) {
+		scrapes++
+		if s := c.MetricsSnapshot(); s == nil || len(s.Nodes) != nodes {
+			t.Errorf("mid-run snapshot %v, want one with %d nodes", s, nodes)
+		}
+		for _, st := range c.Status() {
+			if len(st.Threads) != threads {
+				t.Errorf("mid-run status of node %d has %d threads, want %d", st.Node, len(st.Threads), threads)
+			}
+		}
+		runtime.Gosched()
+	})
+	t.Logf("%d scrapes during the run", scrapes)
+	checkSyncCounts(t, snap, nodes, threads, iters)
+}
+
 // TestMetricsObservesWaits checks that the wall-clock histograms and
 // attribution maps populate: remote lock waits classify as 2-hop (the
 // centralized managers never need a third hop), barrier stalls and
@@ -69,7 +128,7 @@ func TestMetricsCountsSyncOps(t *testing.T) {
 // the contended lock.
 func TestMetricsObservesWaits(t *testing.T) {
 	const nodes, threads, iters = 4, 2, 5
-	snap, rec, _ := runMetered(t, nodes, threads, iters)
+	snap, rec, _ := runMetered(t, nodes, threads, iters, nil)
 
 	var hist metrics.Histogram
 	for i := range snap.Nodes {
@@ -116,7 +175,7 @@ func TestMetricsObservesWaits(t *testing.T) {
 // and the per-peer traffic is populated.
 func TestStatusAfterRun(t *testing.T) {
 	const nodes, threads = 4, 2
-	_, _, c := runMetered(t, nodes, threads, 3)
+	_, _, c := runMetered(t, nodes, threads, 3, nil)
 	sts := c.Status()
 	if len(sts) != nodes {
 		t.Fatalf("Status() returned %d nodes, want %d", len(sts), nodes)
@@ -146,12 +205,13 @@ func TestStatusAfterRun(t *testing.T) {
 	}
 }
 
-// TestMetricsReconfigureMismatchPanics pins the shape guard: one
-// collector cannot silently aggregate differently-shaped clusters.
-func TestMetricsReconfigureMismatchPanics(t *testing.T) {
-	met := rt.NewMetrics()
-	run := func(nodes int) error {
-		cfg := rt.DefaultConfig(nodes, 1)
+// TestMetricsSecondAttachPanics pins the registry's one-run rule: a
+// registry attached to a second run panics rather than silently
+// aggregating the two (the equivalence gate needs one run's counts).
+func TestMetricsSecondAttachPanics(t *testing.T) {
+	met := metrics.NewRegistry()
+	run := func() error {
+		cfg := rt.DefaultConfig(2, 1)
 		cfg.Metrics = met
 		c, err := rt.NewCluster(cfg)
 		if err != nil {
@@ -160,13 +220,13 @@ func TestMetricsReconfigureMismatchPanics(t *testing.T) {
 		_, err = c.RunLoopback(func(w cvm.Worker) { w.Barrier(0) })
 		return err
 	}
-	if err := run(2); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("reattaching a 2-node Metrics to a 4-node cluster did not panic")
+			t.Error("attaching a used registry to a second run did not panic")
 		}
 	}()
-	run(4)
+	run()
 }

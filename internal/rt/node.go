@@ -8,6 +8,7 @@ import (
 
 	"cvm"
 	"cvm/internal/core"
+	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
@@ -76,8 +77,10 @@ type rnode struct {
 
 	// Observability. met and tracer are nil unless the run asked for
 	// them; tstate (one atomic per local thread) always tracks worker
-	// states for Status.
-	met    *Metrics
+	// states for Status. metMu is held around every observation into
+	// this node's shard of met (see observe).
+	met    *metrics.Registry
+	metMu  sync.Mutex
 	tracer *lockedTracer
 	tstate []atomic.Int32
 }
@@ -349,9 +352,14 @@ func (n *rnode) fetchPage(w *Worker, pg core.PageID) *rpage {
 		n.setState(w, tsRunning)
 		if obs {
 			now := n.clock.Now()
-			if m := n.met; m != nil {
-				m.observeFault(n.self, pg, now-t0)
-			}
+			n.observe(func(m *metrics.Registry) {
+				// Service time (request to install) and the faulting
+				// thread's blocked time coincide here.
+				d := now - t0
+				m.Node(n.self).FaultService.Observe(int64(d))
+				m.Node(n.self).FaultThreadWait.Observe(int64(d))
+				m.PageFaultWait(n.self, int32(pg), d)
+			})
 			if tr := n.tracer; tr != nil {
 				tr.emit(trace.Event{T: now, Kind: trace.KindFaultResolve,
 					Node: int32(n.self), Thread: int32(w.gid), Page: int32(pg)})
@@ -394,11 +402,9 @@ func (n *rnode) flushOnce() {
 		}
 		reqID, ch := n.newPending()
 		payload := encodeDiff(reqID, pg, runs)
-		if m := n.met; m != nil {
-			// The diff's wire size: the encoded runs, excluding the
-			// reqID+page request header.
-			m.observeDiff(n.self, int64(len(payload)-8))
-		}
+		// The diff's wire size: the encoded runs, excluding the
+		// reqID+page request header.
+		n.observe(func(m *metrics.Registry) { m.Node(n.self).DiffBytes.Observe(int64(len(payload) - 8)) })
 		if tr := n.tracer; tr != nil {
 			tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindDiffCreate,
 				Node: int32(n.self), Thread: -1, Page: int32(pg),

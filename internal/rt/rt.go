@@ -38,6 +38,7 @@ import (
 
 	"cvm"
 	"cvm/internal/core"
+	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 	"cvm/internal/transport"
@@ -51,9 +52,16 @@ type Config struct {
 
 	// Metrics, when non-nil, collects wall-clock protocol metrics
 	// (fault service, lock waits, barrier stalls, diff bytes, and the
-	// backend-invariant sync counters) into the simulator's snapshot
-	// shape. Nil keeps every hot path observation-free.
-	Metrics *Metrics
+	// backend-invariant sync counters) into the simulator's registry.
+	// The run configures it at start with the transport's message
+	// classes, so a registry serves one run only: attaching it to a
+	// second run panics. Histogram values are nanoseconds of wall time,
+	// comparable with the simulator's virtual nanoseconds only side by
+	// side; the backend-invariant counters must match it exactly. Each
+	// node observes into its own shard; read a live run's metrics with
+	// Cluster.MetricsSnapshot. Nil keeps every hot path
+	// observation-free.
+	Metrics *metrics.Registry
 
 	// Tracer, when non-nil, receives wall-timestamped protocol events
 	// on the same kinds the simulator emits, feeding the existing
@@ -86,7 +94,8 @@ type Cluster struct {
 	segments  []Segment
 	started   bool
 
-	// runMu guards rnodes, which Status reads while the run is live.
+	// runMu guards rnodes, which Status and MetricsSnapshot read while
+	// the run is live, and the metrics registry's configuration.
 	runMu  sync.Mutex
 	rnodes []*rnode
 }
@@ -162,13 +171,7 @@ func (c *Cluster) RunLoopback(main func(cvm.Worker)) (Result, error) {
 		return Result{}, errors.New("rt: cluster already run")
 	}
 	c.started = true
-	if m := c.cfg.Metrics; m != nil {
-		m.configure(c.cfg.Nodes)
-	}
-	var lt *lockedTracer
-	if c.cfg.Tracer != nil {
-		lt = &lockedTracer{tr: c.cfg.Tracer}
-	}
+	lt := c.lockedTracer()
 	// One wall clock for the whole in-process cluster, so trace
 	// timestamps from different nodes share an epoch.
 	clock := sim.NewWallClock()
@@ -177,9 +180,7 @@ func (c *Cluster) RunLoopback(main func(cvm.Worker)) (Result, error) {
 	for i := range nodes {
 		nodes[i] = newNode(c, conns[i], clock, lt)
 	}
-	c.runMu.Lock()
-	c.rnodes = nodes
-	c.runMu.Unlock()
+	c.publish(nodes)
 	start := time.Now()
 	errs := make([]error, len(nodes))
 	done := make(chan int, len(nodes))
@@ -230,17 +231,8 @@ func (c *Cluster) RunNode(conn transport.Conn, main func(cvm.Worker)) (Result, e
 			conn.Nodes(), c.cfg.Nodes)
 	}
 	c.started = true
-	if m := c.cfg.Metrics; m != nil {
-		m.configure(c.cfg.Nodes)
-	}
-	var lt *lockedTracer
-	if c.cfg.Tracer != nil {
-		lt = &lockedTracer{tr: c.cfg.Tracer}
-	}
-	n := newNode(c, conn, sim.NewWallClock(), lt)
-	c.runMu.Lock()
-	c.rnodes = []*rnode{n}
-	c.runMu.Unlock()
+	n := newNode(c, conn, sim.NewWallClock(), c.lockedTracer())
+	c.publish([]*rnode{n})
 	start := time.Now()
 	err := n.run(main)
 	return Result{Elapsed: time.Since(start), Net: conn.Stats()}, err

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"cvm/internal/core"
+	"cvm/internal/metrics"
 	"cvm/internal/sim"
 	"cvm/internal/trace"
 )
@@ -97,9 +98,18 @@ func (n *rnode) lock(w *Worker, id int) {
 	n.setState(w, tsRunning)
 	if obs {
 		now := n.clock.Now()
-		if m := n.met; m != nil {
-			m.observeLock(n.self, int32(id), now-t0, mgr == n.self)
-		}
+		n.observe(func(m *metrics.Registry) {
+			// Centralized managers make every remote acquire a 2-hop
+			// exchange; Lock3Hop stays empty by construction.
+			d := now - t0
+			if mgr == n.self {
+				m.Node(n.self).LockLocalWait.Observe(int64(d))
+			} else {
+				m.Node(n.self).Lock2Hop.Observe(int64(d))
+			}
+			m.LockAcquireWait(n.self, int32(id), d)
+			m.CountLockAcquire(n.self)
+		})
 		if tr := n.tracer; tr != nil {
 			var arg int64
 			if mgr == n.self {
@@ -117,9 +127,7 @@ func (n *rnode) lock(w *Worker, id int) {
 // section (release consistency's release half). Caller holds tok.
 func (n *rnode) unlock(w *Worker, id int) {
 	n.checkFail()
-	if m := n.met; m != nil {
-		m.countUnlock(n.self)
-	}
+	n.observe(func(m *metrics.Registry) { m.CountLockRelease(n.self) })
 	n.flushAll()
 	if tr := n.tracer; tr != nil {
 		tr.emit(trace.Event{T: n.clock.Now(), Kind: trace.KindLockRelease,
@@ -163,9 +171,7 @@ func (n *rnode) barrier(w *Worker, id uint32) {
 	var t0 sim.Time
 	if obs {
 		t0 = n.clock.Now()
-		if m := n.met; m != nil {
-			m.countBarrierArrive(n.self, false)
-		}
+		n.observe(func(m *metrics.Registry) { m.CountBarrierArrive(n.self) })
 		if tr := n.tracer; tr != nil {
 			tr.emit(trace.Event{T: t0, Kind: trace.KindBarrierArrive,
 				Node: int32(n.self), Thread: int32(w.gid), Sync: int32(id)})
@@ -193,9 +199,7 @@ func (n *rnode) barrier(w *Worker, id uint32) {
 	n.tok.Lock()
 	n.setState(w, tsRunning)
 	if obs {
-		if m := n.met; m != nil {
-			m.observeBarrierStall(n.self, n.clock.Now()-t0, false)
-		}
+		n.observe(func(m *metrics.Registry) { m.Node(n.self).BarrierStall.Observe(int64(n.clock.Now() - t0)) })
 	}
 	n.checkFail()
 	if !nb.inv {
@@ -253,9 +257,7 @@ func (n *rnode) localBarrier(w *Worker, id uint32) {
 	var t0 sim.Time
 	if obs {
 		t0 = n.clock.Now()
-		if m := n.met; m != nil {
-			m.countBarrierArrive(n.self, true)
-		}
+		n.observe(func(m *metrics.Registry) { m.CountLocalBarrierArrive(n.self) })
 		if tr := n.tracer; tr != nil {
 			tr.emit(trace.Event{T: t0, Kind: trace.KindBarrierArrive,
 				Node: int32(n.self), Thread: int32(w.gid), Sync: int32(id), Aux: 1})
@@ -285,9 +287,7 @@ func (n *rnode) localBarrier(w *Worker, id uint32) {
 	n.tok.Lock()
 	n.setState(w, tsRunning)
 	if obs {
-		if m := n.met; m != nil {
-			m.observeBarrierStall(n.self, n.clock.Now()-t0, true)
-		}
+		n.observe(func(m *metrics.Registry) { m.Node(n.self).LocalBarrierStall.Observe(int64(n.clock.Now() - t0)) })
 	}
 	n.checkFail()
 }
@@ -319,9 +319,7 @@ type redManager struct {
 // of scheduling. Caller holds tok.
 func (n *rnode) reduce(w *Worker, id int, v float64, op core.ReduceOp) float64 {
 	n.checkFail()
-	if m := n.met; m != nil {
-		m.countReduce(n.self)
-	}
+	n.observe(func(m *metrics.Registry) { m.CountReduce(n.self) })
 	n.setState(w, tsReduce)
 	rid := uint32(id)
 	n.hmu.Lock()
