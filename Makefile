@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
+.PHONY: check fmt vet build test race cover golden-trace bench-smoke fuzz-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends metrics-baseline perf-baseline scale-baseline
 
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — gofmt,
 ## vet, build, race-test everything, verify the golden trace, a one-iteration
-## pass over every benchmark so the perf kernels stay honest, the chaos
+## pass over every benchmark so the perf kernels stay honest, ten seconds
+## of fuzzing per diff kernel, the chaos
 ## suite under fault injection, the engine-worker determinism guard, the
 ## TCP flake detector, the multi-process cluster smoke against the
 ## simulator oracle, the 256-node scale smoke, the metrics regression
 ## gate against the committed baseline, the sim-vs-real
 ## counter-equivalence gate, and the per-package coverage floors.
-check: fmt vet build race golden-trace bench-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends cover
+check: fmt vet build race golden-trace bench-smoke fuzz-smoke chaos par-check flake cluster-smoke scale-smoke metrics-gate diff-backends cover
 	@echo "check: OK"
 
 ## fmt: fail if any Go file is not gofmt-formatted, naming the files.
@@ -45,6 +46,15 @@ golden-trace:
 ## panic or assert-fail without paying for stable timings.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
+
+## fuzz-smoke: ten seconds of coverage-guided fuzzing per diff kernel:
+## FuzzMakeDiff checks the word-at-a-time scan against the byte-wise
+## reference through the wire codec and Apply, FuzzDecodeRuns feeds the
+## decoder arbitrary bytes (no panic, allocation bounded by its input).
+## Plain `go test` runs their seed corpora.
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMakeDiff$$' -fuzztime=10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeRuns$$' -fuzztime=10s
 
 ## chaos: the fault-injection suite — every app across the drop-rate
 ## table plus the fixed-corpus schedule fuzzer, all with the protocol

@@ -19,9 +19,13 @@
 // benchmarks the harness itself and writes a machine-readable baseline:
 //
 //	cvm-bench -experiment perf -json BENCH_harness.json
+//
+// -cpuprofile and -memprofile write pprof profiles of the host process
+// over the whole run, for `go tool pprof`.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +35,7 @@ import (
 	"cvm"
 	"cvm/internal/apps"
 	"cvm/internal/harness"
+	"cvm/internal/hostprof"
 )
 
 func main() {
@@ -40,7 +45,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("cvm-bench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all",
@@ -63,12 +68,18 @@ func run(args []string, out io.Writer) error {
 		metricsBin  = fs.Duration("metrics-interval", 0, "utilization-timeline bin width in virtual time (0 = default 10ms)")
 		metricsTopN = fs.Int("metrics-top", 10, "rows kept in the hot-page and hot-lock tables")
 	)
+	prof := hostprof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *metricsBin < 0 {
 		return fmt.Errorf("-metrics-interval must be >= 0, got %v", *metricsBin)
 	}

@@ -162,11 +162,16 @@ func isPerfBaseline(data []byte) bool {
 var allocCaps = map[string]int64{
 	"ReadRange/span":  24,
 	"WriteRange/span": 38,
+	// Diffs are flat: a scan into reused scratch plus the clone a
+	// retained diff keeps is two allocations (Spans and Data), whatever
+	// the run count.
+	"MakeDiff/sparse": 2,
+	"MakeDiff/dense":  2,
 	// Diff wire codec: the encoder amortizes to a handful of buffer
-	// growths; the decoder allocates one Run slice plus payloads.
+	// growths; the decoder sizes Spans and Data exactly, one each.
 	"DiffEncode/sparse": 4,
 	"DiffEncode/dense":  4,
-	"DiffDecode/sparse": 32,
+	"DiffDecode/sparse": 2,
 }
 
 // wireRatioCaps are absolute encoded/raw ceilings per diff wire pattern,

@@ -35,9 +35,14 @@
 // has no virtual-time machinery beyond that: fault injection, -check,
 // -metrics-interval, -engine-workers and thread sweeps stay
 // simulator-only. For multi-process clusters over TCP, see cvm-node.
+//
+// -cpuprofile and -memprofile write pprof profiles of the host process
+// (what the run costs this machine, not the virtual time it reports),
+// for `go tool pprof`; they work with either backend.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,6 +55,7 @@ import (
 	"cvm/internal/apps"
 	"cvm/internal/check"
 	"cvm/internal/harness"
+	"cvm/internal/hostprof"
 	"cvm/internal/metrics"
 	"cvm/internal/netsim"
 	"cvm/internal/rt"
@@ -64,7 +70,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("cvm-run", flag.ContinueOnError)
 	var (
 		appName    = fs.String("app", "sor", "application: "+strings.Join(apps.Names(), ", "))
@@ -92,12 +98,18 @@ func run(args []string, out io.Writer) error {
 
 		backend = fs.String("transport", "sim", "execution backend: sim (deterministic simulator) or loopback (real runtime, in-process)")
 	)
+	prof := hostprof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	set := map[string]bool{} // flags given on the command line
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *traceLimit < 0 {

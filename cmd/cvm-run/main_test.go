@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,5 +226,30 @@ func TestMetricsRunDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(emit("a.json"), emit("b.json")) {
 		t.Fatal("repeated runs wrote different metrics reports")
+	}
+}
+
+// TestHostProfiles runs a small simulation with -cpuprofile and
+// -memprofile and checks both files are non-empty gzip-compressed
+// pprof profiles.
+func TestHostProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := runErr("-app", "sor", "-nodes", "2", "-threads", "2", "-size", "test",
+		"-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: not gzip: %v", path, err)
+		}
+		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+			t.Fatalf("%s: empty or unreadable profile (%d bytes, %v)", path, len(body), err)
+		}
 	}
 }

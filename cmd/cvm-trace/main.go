@@ -20,9 +20,13 @@
 // transport's retransmissions and duplicate suppressions. -check
 // additionally attaches the protocol invariant checker and fails the
 // run on any violation.
+//
+// -cpuprofile and -memprofile write pprof profiles of the host process
+// (the simulator's own cost), for `go tool pprof`.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +36,7 @@ import (
 	"cvm"
 	"cvm/internal/apps"
 	"cvm/internal/check"
+	"cvm/internal/hostprof"
 	"cvm/internal/trace"
 )
 
@@ -42,7 +47,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("cvm-trace", flag.ContinueOnError)
 	var (
 		appName = fs.String("app", "sor", "application: "+strings.Join(apps.Names(), ", "))
@@ -59,12 +64,18 @@ func run(args []string, out io.Writer) error {
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-schedule seed (same spec + seed = same schedule, byte for byte)")
 		checkRun  = fs.Bool("check", false, "attach the protocol invariant checker; any violation fails the run")
 	)
+	prof := hostprof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *limit < 0 {
 		return fmt.Errorf("-limit must be >= 0, got %d", *limit)
 	}

@@ -5,7 +5,7 @@ import "testing"
 // The diff kernels are the simulator's hottest inner loops: every closed
 // interval runs MakeDiff over a full page, and every remote fault runs
 // Apply per incoming diff. These benchmarks are the regression baseline
-// for the word-strided comparison (see BENCH_harness.json).
+// for the word-at-a-time scan (see BENCH_harness.json).
 
 const benchPageSize = 8 << 10
 
@@ -32,11 +32,12 @@ func benchPages(pattern string) (twin, cur []byte) {
 
 func benchmarkMakeDiff(b *testing.B, pattern string) {
 	twin, cur := benchPages(pattern)
+	var scratch Runs
 	b.SetBytes(benchPageSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MakeDiff(0, twin, cur)
+		scratch = MakeDiff(scratch, twin, cur)
 	}
 }
 
@@ -47,7 +48,7 @@ func BenchmarkMakeDiffAlternating(b *testing.B) { benchmarkMakeDiff(b, "alternat
 
 func BenchmarkDiffApply(b *testing.B) {
 	twin, cur := benchPages("sparse")
-	d := &Diff{Runs: MakeDiff(0, twin, cur)}
+	d := &Diff{Runs: MakeDiff(Runs{}, twin, cur)}
 	dst := make([]byte, benchPageSize)
 	tw := make([]byte, benchPageSize)
 	b.ReportAllocs()
@@ -60,22 +61,23 @@ func BenchmarkDiffApply(b *testing.B) {
 func BenchmarkDiffOverlaps(b *testing.B) {
 	// Two interleaved disjoint diffs with many runs: the case the merge
 	// walk turns from O(runs²) into O(runs).
-	var a, c Diff
+	var ar, cr [][2]int32
 	for off := int32(0); off < benchPageSize; off += 32 {
-		a.Runs = append(a.Runs, Run{Off: off, Data: make([]byte, 8)})
-		c.Runs = append(c.Runs, Run{Off: off + 16, Data: make([]byte, 8)})
+		ar = append(ar, [2]int32{off, off + 8})
+		cr = append(cr, [2]int32{off + 16, off + 24})
 	}
+	a, c := spanDiff(ar...), spanDiff(cr...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a.Overlaps(&c) {
+		if a.Overlaps(c) {
 			b.Fatal("disjoint diffs reported overlapping")
 		}
 	}
 }
 
 // BenchmarkMakeDiffRefDense measures the byte-at-a-time reference scan on
-// the dense pattern, quantifying the word-strided kernel's win.
+// the dense pattern, quantifying the word-at-a-time kernel's win.
 func BenchmarkMakeDiffRefDense(b *testing.B) {
 	twin, cur := benchPages("dense")
 	b.SetBytes(benchPageSize)

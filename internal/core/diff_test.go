@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,8 +10,8 @@ import (
 func TestMakeDiffEmpty(t *testing.T) {
 	twin := make([]byte, 128)
 	cur := make([]byte, 128)
-	if runs := MakeDiff(0, twin, cur); runs != nil {
-		t.Errorf("identical pages produced %d runs, want none", len(runs))
+	if runs := MakeDiff(Runs{}, twin, cur); len(runs.Spans) != 0 || len(runs.Data) != 0 {
+		t.Errorf("identical pages produced %d runs, want none", len(runs.Spans))
 	}
 }
 
@@ -18,12 +19,12 @@ func TestMakeDiffSingleRun(t *testing.T) {
 	twin := make([]byte, 128)
 	cur := make([]byte, 128)
 	copy(cur[10:], []byte{1, 2, 3})
-	runs := MakeDiff(0, twin, cur)
-	if len(runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(runs))
+	runs := MakeDiff(Runs{}, twin, cur)
+	if len(runs.Spans) != 1 {
+		t.Fatalf("runs = %d, want 1", len(runs.Spans))
 	}
-	if runs[0].Off != 10 || !bytes.Equal(runs[0].Data, []byte{1, 2, 3}) {
-		t.Errorf("run = %+v, want off=10 data=[1 2 3]", runs[0])
+	if runs.Spans[0] != (Span{Off: 10, Len: 3}) || !bytes.Equal(runs.Data, []byte{1, 2, 3}) {
+		t.Errorf("run = %+v %v, want off=10 data=[1 2 3]", runs.Spans[0], runs.Data)
 	}
 }
 
@@ -33,9 +34,9 @@ func TestMakeDiffMultipleRuns(t *testing.T) {
 	cur[0] = 9
 	cur[31] = 9
 	cur[63] = 9
-	runs := MakeDiff(0, twin, cur)
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(runs))
+	runs := MakeDiff(Runs{}, twin, cur)
+	if len(runs.Spans) != 3 {
+		t.Fatalf("runs = %d, want 3", len(runs.Spans))
 	}
 }
 
@@ -55,7 +56,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 				cur[(i*7)%n] ^= b | 1
 			}
 		}
-		d := &Diff{Runs: MakeDiff(0, twin, cur)}
+		d := &Diff{Runs: MakeDiff(Runs{}, twin, cur)}
 		got := make([]byte, n)
 		copy(got, twin)
 		d.Apply(got, nil)
@@ -69,7 +70,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 func TestDiffApplyToTwin(t *testing.T) {
 	twin := make([]byte, 32)
 	dst := make([]byte, 32)
-	d := &Diff{Runs: []Run{{Off: 4, Data: []byte{7, 8}}}}
+	d := &Diff{Runs: Runs{Spans: []Span{{Off: 4, Len: 2}}, Data: []byte{7, 8}}}
 	d.Apply(dst, twin)
 	if dst[4] != 7 || twin[4] != 7 || dst[5] != 8 || twin[5] != 8 {
 		t.Error("Apply did not update both destination and twin")
@@ -77,9 +78,9 @@ func TestDiffApplyToTwin(t *testing.T) {
 }
 
 // makeDiffRef is the byte-at-a-time reference implementation MakeDiff's
-// word-strided kernel must match exactly.
-func makeDiffRef(twin, cur []byte) []Run {
-	var runs []Run
+// word-at-a-time kernel must match exactly.
+func makeDiffRef(twin, cur []byte) Runs {
+	var runs Runs
 	n := len(cur)
 	i := 0
 	for i < n {
@@ -91,26 +92,27 @@ func makeDiffRef(twin, cur []byte) []Run {
 		for i < n && twin[i] != cur[i] {
 			i++
 		}
-		data := make([]byte, i-start)
-		copy(data, cur[start:i])
-		runs = append(runs, Run{Off: int32(start), Data: data})
+		runs.Spans = append(runs.Spans, Span{Off: int32(start), Len: int32(i - start)})
+		runs.Data = append(runs.Data, cur[start:i]...)
 	}
 	return runs
 }
 
-func runsEqual(a, b []Run) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Off != b[i].Off || !bytes.Equal(a[i].Data, b[i].Data) {
-			return false
-		}
-	}
-	return true
+func runsEqual(a, b Runs) bool {
+	return slices.Equal(a.Spans, b.Spans) && bytes.Equal(a.Data, b.Data)
 }
 
-// TestMakeDiffMatchesReference is the golden test for the word-strided
+// spanDiff builds a diff of zero-filled runs over the given [start, end)
+// byte ranges, which must be ascending and disjoint.
+func spanDiff(ranges ...[2]int32) *Diff {
+	rs := make([]run, len(ranges))
+	for i, r := range ranges {
+		rs[i] = run{r[0], make([]byte, r[1]-r[0])}
+	}
+	return &Diff{Runs: runsOf(rs...)}
+}
+
+// TestMakeDiffMatchesReference is the golden test for the word-at-a-time
 // kernel: identical run boundaries and contents to the byte-wise scan on
 // random pages, plus handcrafted word-boundary edge cases.
 func TestMakeDiffMatchesReference(t *testing.T) {
@@ -141,10 +143,13 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 	addCase(7, func(cur []byte) { cur[3] = 1 })   // page shorter than a word
 	addCase(1, func(cur []byte) { cur[0] = 1 })
 	addCase(0, func(cur []byte) {})
+	// One scratch across every case, so a stale buffer would show.
+	var scratch Runs
 	for i, c := range cases {
 		twin, cur := c[0], c[1]
-		if got, want := MakeDiff(0, twin, cur), makeDiffRef(twin, cur); !runsEqual(got, want) {
-			t.Errorf("case %d: MakeDiff = %+v, want %+v", i, got, want)
+		scratch = MakeDiff(scratch, twin, cur)
+		if want := makeDiffRef(twin, cur); !runsEqual(scratch, want) {
+			t.Errorf("case %d: MakeDiff = %+v, want %+v", i, scratch, want)
 		}
 	}
 
@@ -164,17 +169,41 @@ func TestMakeDiffMatchesReference(t *testing.T) {
 		for i, b := range seed {
 			cur[(i*step)%n] ^= b
 		}
-		return runsEqual(MakeDiff(0, twin, cur), makeDiffRef(twin, cur))
+		scratch = MakeDiff(scratch, twin, cur)
+		return runsEqual(scratch, makeDiffRef(twin, cur))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestMakeDiffAllocs pins the allocation cost of a diff: scanning into
+// a warm scratch allocates nothing, and the clone a retained diff keeps
+// is two allocations for a dirty page and none for a clean one.
+func TestMakeDiffAllocs(t *testing.T) {
+	for _, pattern := range []string{"sparse", "dense", "alternating", "clean"} {
+		twin, cur := benchPages(pattern)
+		scratch := MakeDiff(Runs{}, twin, cur)
+		scan := testing.AllocsPerRun(50, func() { scratch = MakeDiff(scratch, twin, cur) })
+		kept := testing.AllocsPerRun(50, func() {
+			scratch = MakeDiff(scratch, twin, cur)
+			_ = scratch.Clone()
+		})
+		want := 2.0
+		if pattern == "clean" {
+			want = 0
+		}
+		if scan != 0 || kept != want {
+			t.Errorf("%s: %v allocs/scan into scratch, %v with the clone; want 0 and %v",
+				pattern, scan, kept, want)
+		}
+	}
+}
+
 func TestDiffOverlaps(t *testing.T) {
-	a := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 8)}}}
-	b := &Diff{Runs: []Run{{Off: 8, Data: make([]byte, 8)}}}
-	c := &Diff{Runs: []Run{{Off: 4, Data: make([]byte, 8)}}}
+	a := spanDiff([2]int32{0, 8})
+	b := spanDiff([2]int32{8, 16})
+	c := spanDiff([2]int32{4, 12})
 	if a.Overlaps(b) {
 		t.Error("adjacent diffs reported overlapping")
 	}
@@ -186,12 +215,12 @@ func TestDiffOverlaps(t *testing.T) {
 // TestDiffOverlapsAdjacent pins the aEnd == b.Off boundary: runs that
 // touch but share no byte must not report an overlap, in either order.
 func TestDiffOverlapsAdjacent(t *testing.T) {
-	a := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 16)}}} // [0,16)
-	b := &Diff{Runs: []Run{{Off: 16, Data: make([]byte, 8)}}} // [16,24)
+	a := spanDiff([2]int32{0, 16})  // [0,16)
+	b := spanDiff([2]int32{16, 24}) // [16,24)
 	if a.Overlaps(b) || b.Overlaps(a) {
 		t.Error("adjacent-but-not-overlapping runs reported overlapping")
 	}
-	c := &Diff{Runs: []Run{{Off: 15, Data: make([]byte, 2)}}} // [15,17) overlaps both
+	c := spanDiff([2]int32{15, 17}) // [15,17) overlaps both
 	if !a.Overlaps(c) || !b.Overlaps(c) {
 		t.Error("one-byte overlap missed")
 	}
@@ -201,13 +230,7 @@ func TestDiffOverlapsAdjacent(t *testing.T) {
 // interleaved multi-run diffs, including a late overlap after several
 // disjoint leading runs on both sides.
 func TestDiffOverlapsMergeWalk(t *testing.T) {
-	mk := func(spans ...[2]int32) *Diff {
-		d := &Diff{}
-		for _, s := range spans {
-			d.Runs = append(d.Runs, Run{Off: s[0], Data: make([]byte, s[1]-s[0])})
-		}
-		return d
-	}
+	mk := spanDiff
 	a := mk([2]int32{0, 4}, [2]int32{10, 14}, [2]int32{20, 24}, [2]int32{40, 48})
 	b := mk([2]int32{4, 8}, [2]int32{14, 18}, [2]int32{24, 28})
 	if a.Overlaps(b) || b.Overlaps(a) {
@@ -227,11 +250,9 @@ func TestDiffOverlapsMergeWalk(t *testing.T) {
 // all-pairs reference on random ascending run lists.
 func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 	quadratic := func(d, other *Diff) bool {
-		for _, a := range d.Runs {
-			for _, b := range other.Runs {
-				aEnd := a.Off + int32(len(a.Data))
-				bEnd := b.Off + int32(len(b.Data))
-				if a.Off < bEnd && b.Off < aEnd {
+		for _, a := range d.Runs.Spans {
+			for _, b := range other.Runs.Spans {
+				if a.Off < b.Off+b.Len && b.Off < a.Off+a.Len {
 					return true
 				}
 			}
@@ -240,15 +261,15 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 	}
 	f := func(aSeed, bSeed []byte) bool {
 		mk := func(seed []byte) *Diff {
-			d := &Diff{}
+			var ranges [][2]int32
 			off := int32(0)
 			for _, b := range seed {
 				off += int32(b%37) + 1
 				n := int32(b%11) + 1
-				d.Runs = append(d.Runs, Run{Off: off, Data: make([]byte, n)})
+				ranges = append(ranges, [2]int32{off, off + n})
 				off += n
 			}
-			return d
+			return spanDiff(ranges...)
 		}
 		a, b := mk(aSeed), mk(bSeed)
 		return a.Overlaps(b) == quadratic(a, b) && b.Overlaps(a) == quadratic(b, a)
@@ -259,7 +280,8 @@ func TestDiffOverlapsMatchesQuadratic(t *testing.T) {
 }
 
 func TestDiffBytes(t *testing.T) {
-	d := &Diff{VT: NewVClock(4), Runs: []Run{{Off: 0, Data: make([]byte, 100)}}}
+	d := spanDiff([2]int32{0, 100})
+	d.VT = NewVClock(4)
 	want := 16 + 16 + 8 + 100
 	if got := d.Bytes(); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)
@@ -272,8 +294,8 @@ func TestConcurrentDiffMergeCommutes(t *testing.T) {
 	f := func(aData, bData []byte) bool {
 		const n = 128
 		base := make([]byte, n)
-		a := &Diff{Runs: MakeDiff(0, base, pageWith(base, 0, aData, n/2))}
-		b := &Diff{Runs: MakeDiff(0, base, pageWith(base, n/2, bData, n/2))}
+		a := &Diff{Runs: MakeDiff(Runs{}, base, pageWith(base, 0, aData, n/2))}
+		b := &Diff{Runs: MakeDiff(Runs{}, base, pageWith(base, n/2, bData, n/2))}
 		p1 := make([]byte, n)
 		a.Apply(p1, nil)
 		b.Apply(p1, nil)

@@ -27,7 +27,8 @@ import (
 // costs one bit and never inflates. The encoding is self-contained —
 // nothing is delta'd against receiver state — so decode works at any
 // node regardless of its page contents, and DecodeRuns returns exactly
-// the Run form MakeDiff produced: Apply semantics are untouched.
+// the flat Runs (spans plus back-to-back data) MakeDiff produced: Apply
+// semantics are untouched.
 //
 // The simulator uses the encoded size for netsim byte accounting when
 // Config.CompressDiffs is set (default off: byte-identical legacy
@@ -41,25 +42,28 @@ import (
 const minRepeat = 4
 
 // EncodeRuns appends the compressed encoding of runs to dst and returns
-// the extended slice. Runs must be ascending, non-overlapping page
+// the extended slice. Spans must be ascending, non-overlapping page
 // offsets — exactly what MakeDiff emits.
-func EncodeRuns(dst []byte, runs []Run) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(runs)))
+func EncodeRuns(dst []byte, runs Runs) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(runs.Spans)))
 	prevEnd := int32(0)
+	data := runs.Data
 	var scratch []byte
-	for _, r := range runs {
-		dst = binary.AppendUvarint(dst, uint64(r.Off-prevEnd))
-		prevEnd = r.Off + int32(len(r.Data))
+	for _, s := range runs.Spans {
+		dst = binary.AppendUvarint(dst, uint64(s.Off-prevEnd))
+		prevEnd = s.Off + s.Len
+		run := data[:s.Len]
+		data = data[s.Len:]
 
-		plainLen := rlePayloadSize(r.Data)
-		scratch = xor8Filter(scratch[:0], r.Data)
+		plainLen := rlePayloadSize(run)
+		scratch = xor8Filter(scratch[:0], run)
 		xorLen := rlePayloadSize(scratch)
 		if xorLen < plainLen {
-			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1|1)
+			dst = binary.AppendUvarint(dst, uint64(s.Len)<<1|1)
 			dst = appendRLEPayload(dst, scratch)
 		} else {
-			dst = binary.AppendUvarint(dst, uint64(len(r.Data))<<1)
-			dst = appendRLEPayload(dst, r.Data)
+			dst = binary.AppendUvarint(dst, uint64(s.Len)<<1)
+			dst = appendRLEPayload(dst, run)
 		}
 	}
 	return dst
@@ -67,16 +71,19 @@ func EncodeRuns(dst []byte, runs []Run) []byte {
 
 // EncodedRunsSize reports len(EncodeRuns(nil, runs)) without building
 // the encoding.
-func EncodedRunsSize(runs []Run) int {
-	n := uvarintSize(uint64(len(runs)))
+func EncodedRunsSize(runs Runs) int {
+	n := uvarintSize(uint64(len(runs.Spans)))
 	prevEnd := int32(0)
+	data := runs.Data
 	var scratch []byte
-	for _, r := range runs {
-		n += uvarintSize(uint64(r.Off - prevEnd))
-		prevEnd = r.Off + int32(len(r.Data))
-		n += uvarintSize(uint64(len(r.Data)) << 1)
-		plainLen := rlePayloadSize(r.Data)
-		scratch = xor8Filter(scratch[:0], r.Data)
+	for _, s := range runs.Spans {
+		n += uvarintSize(uint64(s.Off - prevEnd))
+		prevEnd = s.Off + s.Len
+		run := data[:s.Len]
+		data = data[s.Len:]
+		n += uvarintSize(uint64(s.Len) << 1)
+		plainLen := rlePayloadSize(run)
+		scratch = xor8Filter(scratch[:0], run)
 		if xorLen := rlePayloadSize(scratch); xorLen < plainLen {
 			n += xorLen
 		} else {
@@ -86,47 +93,79 @@ func EncodedRunsSize(runs []Run) int {
 	return n
 }
 
+// maxDiffData bounds the decoded payload of one diff. A diff covers one
+// page, so a legal payload stays far below it; the bound keeps a
+// few-byte run of repeat tokens from demanding gigabytes.
+const maxDiffData = 1 << 24
+
 // DecodeRuns parses an EncodeRuns payload back into runs, returning the
-// unconsumed remainder of src.
-func DecodeRuns(src []byte) (runs []Run, rest []byte, err error) {
+// unconsumed remainder of src. A first pass validates and sizes the whole
+// payload, so a well-formed one costs exactly two allocations (Spans and
+// Data at their final sizes) and a malformed one allocates nothing but
+// its error: the run count is capped by what the input can hold (every
+// run takes at least two header bytes), offsets must fit int32, and the
+// decoded data must stay within maxDiffData.
+func DecodeRuns(src []byte) (runs Runs, rest []byte, err error) {
 	count, src, err := readUvarint(src)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: diff run count: %w", err)
+		return Runs{}, nil, fmt.Errorf("core: diff run count: %w", err)
 	}
-	if count > 1<<20 {
-		return nil, nil, fmt.Errorf("core: diff run count %d too large", count)
+	if count > uint64(len(src)/2) {
+		return Runs{}, nil, fmt.Errorf("core: diff run count %d exceeds what %d bytes can hold", count, len(src))
 	}
-	runs = make([]Run, 0, count)
+	total, rest, err := decodeRuns(src, int(count), Runs{})
+	if err != nil {
+		return Runs{}, nil, err
+	}
+	if count == 0 {
+		return Runs{}, rest, nil
+	}
+	runs = Runs{Spans: make([]Span, count), Data: make([]byte, total)}
+	decodeRuns(src, int(count), runs)
+	return runs, rest, nil
+}
+
+// decodeRuns walks count encoded runs in src, returning the total data
+// length and the remainder. With out empty it only validates; otherwise
+// out's Spans and Data, sized by a validating walk over the same input,
+// receive the runs.
+func decodeRuns(src []byte, count int, out Runs) (total int, rest []byte, err error) {
 	off := int64(0)
-	for k := uint64(0); k < count; k++ {
+	for k := 0; k < count; k++ {
 		gap, s, err := readUvarint(src)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d gap: %w", k, err)
+			return 0, nil, fmt.Errorf("core: diff run %d gap: %w", k, err)
 		}
 		lm, s, err := readUvarint(s)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d header: %w", k, err)
+			return 0, nil, fmt.Errorf("core: diff run %d header: %w", k, err)
 		}
-		length := int(lm >> 1)
-		if length > 1<<24 {
-			return nil, nil, fmt.Errorf("core: diff run %d length %d too large", k, length)
+		length := lm >> 1
+		if gap > math.MaxInt32 || length > math.MaxInt32 || off+int64(gap)+int64(length) > math.MaxInt32 {
+			return 0, nil, fmt.Errorf("core: diff run %d (gap %d, length %d) overflows int32 offsets", k, gap, length)
+		}
+		if uint64(total)+length > maxDiffData {
+			return 0, nil, fmt.Errorf("core: diff run %d: data exceeds %d bytes", k, maxDiffData)
 		}
 		off += int64(gap)
-		data := make([]byte, 0, length)
-		data, s, err = decodeRLEPayload(data, s, length)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: diff run %d payload: %w", k, err)
+		var dst []byte
+		if out.Data != nil {
+			dst = out.Data[total : total+int(length)]
+			out.Spans[k] = Span{Off: int32(off), Len: int32(length)}
+		}
+		if s, err = decodeRLEPayload(dst, s, int(length)); err != nil {
+			return 0, nil, fmt.Errorf("core: diff run %d payload: %w", k, err)
 		}
 		if lm&1 != 0 {
-			for i := 8; i < len(data); i++ {
-				data[i] ^= data[i-8]
+			for i := 8; i < len(dst); i++ {
+				dst[i] ^= dst[i-8]
 			}
 		}
-		runs = append(runs, Run{Off: int32(off), Data: data})
 		off += int64(length)
+		total += int(length)
 		src = s
 	}
-	return runs, src, nil
+	return total, src, nil
 }
 
 // xor8Filter appends the xor8-prefiltered form of data to dst: the first
@@ -199,35 +238,40 @@ func rlePayloadSize(data []byte) int {
 	return size
 }
 
-// decodeRLEPayload expands tokens from src into dst until want bytes
-// have been produced.
-func decodeRLEPayload(dst, src []byte, want int) ([]byte, []byte, error) {
-	for len(dst) < want {
+// decodeRLEPayload consumes the token stream of a want-byte payload
+// from src, expanding it into dst when dst is non-nil (len(dst) ==
+// want), and returns the remainder of src.
+func decodeRLEPayload(dst, src []byte, want int) ([]byte, error) {
+	for n := 0; n < want; {
 		t, s, err := readUvarint(src)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		src = s
+		cnt := t >> 1
 		if t&1 != 0 {
-			rep := int(t >> 1)
-			if len(src) < 1 || len(dst)+rep > want {
-				return nil, nil, fmt.Errorf("bad repeat token %d at %d/%d", t, len(dst), want)
+			if len(src) < 1 || cnt > uint64(want-n) {
+				return nil, fmt.Errorf("bad repeat token %d at %d/%d", t, n, want)
 			}
-			b := src[0]
+			if dst != nil {
+				b := src[0]
+				for i := range dst[n : n+int(cnt)] {
+					dst[n+i] = b
+				}
+			}
 			src = src[1:]
-			for k := 0; k < rep; k++ {
-				dst = append(dst, b)
-			}
 		} else {
-			lit := int(t >> 1)
-			if len(src) < lit || len(dst)+lit > want {
-				return nil, nil, fmt.Errorf("bad literal token %d at %d/%d", t, len(dst), want)
+			if cnt > uint64(len(src)) || cnt > uint64(want-n) {
+				return nil, fmt.Errorf("bad literal token %d at %d/%d", t, n, want)
 			}
-			dst = append(dst, src[:lit]...)
-			src = src[lit:]
+			if dst != nil {
+				copy(dst[n:], src[:cnt])
+			}
+			src = src[cnt:]
 		}
+		n += int(cnt)
 	}
-	return dst, src, nil
+	return src, nil
 }
 
 // AppendVClock appends a compact encoding of vt to dst: uvarint(length),
@@ -339,6 +383,9 @@ func uvarintSize(v uint64) int {
 
 // readUvarint consumes one uvarint from src.
 func readUvarint(src []byte) (uint64, []byte, error) {
+	if len(src) > 0 && src[0] < 0x80 {
+		return uint64(src[0]), src[1:], nil // one-byte fast path
+	}
 	v, n := binary.Uvarint(src)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("truncated or malformed uvarint")

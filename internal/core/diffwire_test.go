@@ -3,12 +3,29 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
+// run is one (offset, bytes) pair for building test diffs.
+type run struct {
+	off  int32
+	data []byte
+}
+
+// runsOf flattens runs, given in ascending offset order.
+func runsOf(rs ...run) Runs {
+	var out Runs
+	for _, r := range rs {
+		out.Spans = append(out.Spans, Span{Off: r.off, Len: int32(len(r.data))})
+		out.Data = append(out.Data, r.data...)
+	}
+	return out
+}
+
 // roundTripRuns encodes runs, decodes them back, and fails on any
 // mismatch or trailing bytes.
-func roundTripRuns(t *testing.T, runs []Run) []byte {
+func roundTripRuns(t *testing.T, runs Runs) []byte {
 	t.Helper()
 	enc := EncodeRuns(nil, runs)
 	if got := EncodedRunsSize(runs); got != len(enc) {
@@ -21,30 +38,24 @@ func roundTripRuns(t *testing.T, runs []Run) []byte {
 	if len(rest) != 0 {
 		t.Fatalf("DecodeRuns left %d trailing bytes", len(rest))
 	}
-	if len(dec) != len(runs) {
-		t.Fatalf("decoded %d runs, want %d", len(dec), len(runs))
-	}
-	for i := range runs {
-		if dec[i].Off != runs[i].Off || !bytes.Equal(dec[i].Data, runs[i].Data) {
-			t.Fatalf("run %d: got (%d, %x), want (%d, %x)",
-				i, dec[i].Off, dec[i].Data, runs[i].Off, runs[i].Data)
-		}
+	if !runsEqual(dec, runs) {
+		t.Fatalf("decoded %+v, want %+v", dec, runs)
 	}
 	return enc
 }
 
 func TestEncodeRunsRoundTrip(t *testing.T) {
-	cases := map[string][]Run{
-		"empty":   nil,
-		"one":     {{Off: 0, Data: []byte{1}}},
-		"tail":    {{Off: 8191, Data: []byte{9}}},
-		"full":    {{Off: 0, Data: bytes.Repeat([]byte{0xAB}, 8192)}},
-		"back2":   {{Off: 0, Data: []byte{1, 2}}, {Off: 2, Data: []byte{3}}},
-		"repeats": {{Off: 100, Data: append(bytes.Repeat([]byte{7}, 100), 1, 2, 3)}},
-		"words": {
-			{Off: 64, Data: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
-			{Off: 512, Data: []byte{2, 0, 0, 0, 0, 0, 0, 0}},
-		},
+	cases := map[string]Runs{
+		"empty":   {},
+		"one":     runsOf(run{0, []byte{1}}),
+		"tail":    runsOf(run{8191, []byte{9}}),
+		"full":    runsOf(run{0, bytes.Repeat([]byte{0xAB}, 8192)}),
+		"back2":   runsOf(run{0, []byte{1, 2}}, run{2, []byte{3}}),
+		"repeats": runsOf(run{100, append(bytes.Repeat([]byte{7}, 100), 1, 2, 3)}),
+		"words": runsOf(
+			run{64, []byte{1, 0, 0, 0, 0, 0, 0, 0}},
+			run{512, []byte{2, 0, 0, 0, 0, 0, 0, 0}},
+		),
 	}
 	for name, runs := range cases {
 		t.Run(name, func(t *testing.T) { roundTripRuns(t, runs) })
@@ -93,7 +104,7 @@ func TestEncodeRunsMatchesMakeDiff(t *testing.T) {
 				}
 			}
 		}
-		runs := MakeDiff(0, twin, cur)
+		runs := MakeDiff(Runs{}, twin, cur)
 		enc := roundTripRuns(t, runs)
 		// Apply the decoded runs to a copy of the twin and compare pages:
 		// end-to-end, wire form included, the receiver reconstructs cur.
@@ -107,7 +118,7 @@ func TestEncodeRunsMatchesMakeDiff(t *testing.T) {
 }
 
 func TestDecodeRunsRejectsCorruption(t *testing.T) {
-	runs := []Run{{Off: 0, Data: bytes.Repeat([]byte{5}, 100)}, {Off: 200, Data: []byte{1, 2, 3}}}
+	runs := runsOf(run{0, bytes.Repeat([]byte{5}, 100)}, run{200, []byte{1, 2, 3}})
 	enc := EncodeRuns(nil, runs)
 	if _, _, err := DecodeRuns(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated payload decoded without error")
@@ -119,6 +130,25 @@ func TestDecodeRunsRejectsCorruption(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<30)
 	if _, _, err := DecodeRuns(huge); err == nil {
 		t.Error("absurd run count decoded without error")
+	}
+	// The count is capped by what the input can hold: a 3-byte payload
+	// declaring 1<<20 runs must fail without allocating for them.
+	bomb := binary.AppendUvarint(nil, 1<<20)
+	if _, _, err := DecodeRuns(bomb); err == nil {
+		t.Error("1<<20-run header on an empty body decoded without error")
+	}
+	if used := allocBytes(100, func() { DecodeRuns(bomb) }); used > 1<<10 {
+		t.Errorf("rejecting a 1<<20-run header allocated %d bytes", used)
+	}
+	// Offsets past int32: a gap that lands the run's end beyond it, and
+	// a gap too large for int32 on its own.
+	over := append(binary.AppendUvarint([]byte{1}, math.MaxInt32), 1<<1, 1<<1, 7)
+	if _, _, err := DecodeRuns(over); err == nil {
+		t.Error("run ending past int32 offsets decoded without error")
+	}
+	over = append(binary.AppendUvarint([]byte{1}, 1<<40), 1<<1, 1<<1, 7)
+	if _, _, err := DecodeRuns(over); err == nil {
+		t.Error("gap past int32 offsets decoded without error")
 	}
 }
 
@@ -167,14 +197,11 @@ func TestWirePatternRatios(t *testing.T) {
 	caps := map[string]float64{"sparse": 0.60, "dense": 1.01, "strided": 0.90}
 	for _, pattern := range WirePatterns() {
 		twin, cur := WirePatternPages(pattern, pageSize)
-		runs := MakeDiff(0, twin, cur)
-		if len(runs) == 0 {
+		runs := MakeDiff(Runs{}, twin, cur)
+		if len(runs.Spans) == 0 {
 			t.Fatalf("%s: no runs", pattern)
 		}
-		raw := 0
-		for _, r := range runs {
-			raw += 8 + len(r.Data)
-		}
+		raw := 8*len(runs.Spans) + len(runs.Data)
 		enc := roundTripRuns(t, runs)
 		ratio := float64(len(enc)) / float64(raw)
 		t.Logf("%s: raw %d encoded %d ratio %.3f", pattern, raw, len(enc), ratio)
@@ -190,7 +217,7 @@ func TestWirePatternRatios(t *testing.T) {
 func TestWireBytesAccounting(t *testing.T) {
 	twin, cur := WirePatternPages("sparse", 8<<10)
 	vt := VClock{3, 0, 0, 5}
-	d := &Diff{Page: 1, Node: 0, Idx: 3, VT: vt, Runs: MakeDiff(1, twin, cur)}
+	d := &Diff{Page: 1, Node: 0, Idx: 3, VT: vt, Runs: MakeDiff(Runs{}, twin, cur)}
 	if got, want := d.WireBytes(false), d.Bytes(); got != want {
 		t.Errorf("WireBytes(false) = %d, want Bytes() = %d", got, want)
 	}
@@ -255,11 +282,8 @@ func TestCompressDiffsEquivalence(t *testing.T) {
 // the BENCH_harness.json micro section (DiffEncode/DiffDecode).
 func benchmarkDiffEncode(b *testing.B, pattern string) {
 	twin, cur := WirePatternPages(pattern, benchPageSize)
-	runs := MakeDiff(0, twin, cur)
-	raw := 0
-	for _, r := range runs {
-		raw += 8 + len(r.Data)
-	}
+	runs := MakeDiff(Runs{}, twin, cur)
+	raw := 8*len(runs.Spans) + len(runs.Data)
 	var dst []byte
 	b.SetBytes(int64(benchPageSize))
 	b.ReportAllocs()
@@ -277,7 +301,7 @@ func BenchmarkDiffEncodeStrided(b *testing.B) { benchmarkDiffEncode(b, "strided"
 
 func benchmarkDiffDecode(b *testing.B, pattern string) {
 	twin, cur := WirePatternPages(pattern, benchPageSize)
-	enc := EncodeRuns(nil, MakeDiff(0, twin, cur))
+	enc := EncodeRuns(nil, MakeDiff(Runs{}, twin, cur))
 	b.SetBytes(int64(benchPageSize))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -299,11 +323,8 @@ func TestWirePatternShapes(t *testing.T) {
 		if len(twin) != 8<<10 || len(cur) != 8<<10 {
 			t.Fatalf("%s: wrong page sizes", pattern)
 		}
-		runs := MakeDiff(0, twin, cur)
-		total := 0
-		for _, r := range runs {
-			total += len(r.Data)
-		}
+		runs := MakeDiff(Runs{}, twin, cur)
+		total := len(runs.Data)
 		switch pattern {
 		case "sparse":
 			if total < 512 || total > 2048 {
@@ -314,8 +335,8 @@ func TestWirePatternShapes(t *testing.T) {
 				t.Errorf("dense modifies only %d bytes", total)
 			}
 		case "strided":
-			if len(runs) < 100 {
-				t.Errorf("strided has %d runs, want a regular stride", len(runs))
+			if len(runs.Spans) < 100 {
+				t.Errorf("strided has %d runs, want a regular stride", len(runs.Spans))
 			}
 		}
 	}

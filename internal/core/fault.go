@@ -246,8 +246,8 @@ func (t *Thread) applyFault(fs *faultState) {
 			w.applied = d.Idx
 		}
 		n.stats.DiffsUsed++
-		for _, run := range d.Runs {
-			t.task.Advance(n.mem.AccessRange(base+uint64(run.Off), len(run.Data)))
+		for _, s := range d.Runs.Spans {
+			t.task.Advance(n.mem.AccessRange(base+uint64(s.Off), int(s.Len)))
 		}
 		if tr := t.sys.tracer; tr != nil {
 			tr.Emit(trace.Event{T: t.task.Now(), Kind: trace.KindDiffApply,

@@ -28,6 +28,7 @@ type node struct {
 	totalPages     int                  // address-space size in pages
 	shardCount     int                  // shards materialized so far
 	pool           bufPool              // page/twin buffer slabs (see pagetable.go)
+	diffScratch    Runs                 // MakeDiff's reused scan buffers (see closeInterval)
 	dirty          []PageID             // pages written in the open interval
 	intervals      [][]*IntervalInfo    // known intervals, per node, idx-ascending
 	locks          map[int]*lockState   // lazily created
@@ -185,15 +186,18 @@ func (n *node) closeInterval(t *Thread) {
 	// write notices for, so cross-fault application order can never
 	// regress a byte. The page-length comparison and the protection
 	// downgrade are charged to the closing thread.
+	// Each diff scans into the node's scratch and keeps an exact-size
+	// clone: two allocations per diff, none per run.
 	for _, pg := range n.dirty {
 		p := n.pageAt(pg)
 		p.openDirty = false
+		n.diffScratch = MakeDiff(n.diffScratch, p.twin, p.data)
 		d := &Diff{
 			Page: pg,
 			Node: n.id,
 			Idx:  n.curIdx,
 			VT:   info.VT,
-			Runs: MakeDiff(pg, p.twin, p.data),
+			Runs: n.diffScratch.Clone(),
 		}
 		n.storeDiff(d)
 		if nm := n.met; nm != nil {

@@ -104,8 +104,8 @@ func (n *node) newTwin(p *page) {
 }
 
 // releaseTwin detaches and recycles p's twin after the interval's diff
-// has been created (MakeDiff copies the modified bytes out, so nothing
-// references the buffer afterward).
+// has been created (the diff keeps a clone of the modified bytes, so
+// nothing references the buffer afterward).
 func (n *node) releaseTwin(p *page) {
 	if p.twin == nil {
 		return

@@ -45,6 +45,9 @@ type rnode struct {
 	tok   sync.Mutex
 	cache map[core.PageID]*rpage
 	dirty []core.PageID // pages in cache with a twin
+	// diffScratch holds MakeDiff's reused scan buffers; each flush
+	// encodes straight from it, so a diff allocates no runs.
+	diffScratch core.Runs
 	// epoch is bumped by invalidate; stale fetches re-request. Writes
 	// happen under tok, but Status reads it without, hence atomic.
 	epoch atomic.Uint64
@@ -210,14 +213,20 @@ func (n *rnode) handle(m transport.Message) {
 	case msgDiffReq:
 		reqID, pg, runs, err := decodeDiff(p)
 		if err != nil {
-			n.setFail(err)
+			n.setFail(fmt.Errorf("diff from node %d: %w", m.From, err))
 			return
 		}
-		n.hmu.Lock()
-		mp := n.masterPage(pg)
-		for _, r := range runs {
-			copy(mp[r.Off:], r.Data)
+		// A span past the page is a malformed or corrupted frame: fail
+		// the node, naming the sender, instead of panicking the process.
+		for _, s := range runs.Spans {
+			if end := int64(s.Off) + int64(s.Len); s.Off < 0 || end > int64(n.c.cfg.PageSize) {
+				n.setFail(fmt.Errorf("diff from node %d for page %d: span [%d, %d) outside the %d-byte page",
+					m.From, pg, s.Off, end, n.c.cfg.PageSize))
+				return
+			}
 		}
+		n.hmu.Lock()
+		(&core.Diff{Runs: runs}).Apply(n.masterPage(pg), nil)
 		n.hmu.Unlock()
 		n.send(int(m.From), msgDiffAck, putU32(nil, reqID))
 	case msgDiffAck:
@@ -395,13 +404,13 @@ func (n *rnode) flushOnce() {
 		if p == nil || p.twin == nil {
 			continue
 		}
-		runs := core.MakeDiff(pg, p.twin, p.data)
+		n.diffScratch = core.MakeDiff(n.diffScratch, p.twin, p.data)
 		p.twin = nil
-		if len(runs) == 0 {
+		if len(n.diffScratch.Spans) == 0 {
 			continue
 		}
 		reqID, ch := n.newPending()
-		payload := encodeDiff(reqID, pg, runs)
+		payload := encodeDiff(reqID, pg, n.diffScratch)
 		// The diff's wire size: the encoded runs, excluding the
 		// reqID+page request header.
 		n.observe(func(m *metrics.Registry) { m.Node(n.self).DiffBytes.Observe(int64(len(payload) - 8)) })

@@ -72,9 +72,9 @@ func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
 // encodeDiff builds a diff flush: reqID, page id, then the runs in the
 // compressed wire form (run-length + xor8 prefilter, core.EncodeRuns).
 // The encoding is self-contained, so the home can decode it regardless
-// of its own page contents, and decoding returns exactly the Run form
+// of its own page contents, and decoding returns exactly the runs
 // core.MakeDiff produced.
-func encodeDiff(reqID uint32, pg core.PageID, runs []core.Run) []byte {
+func encodeDiff(reqID uint32, pg core.PageID, runs core.Runs) []byte {
 	b := make([]byte, 0, 64)
 	b = putU32(b, reqID)
 	b = putU32(b, uint32(pg))
@@ -82,18 +82,18 @@ func encodeDiff(reqID uint32, pg core.PageID, runs []core.Run) []byte {
 }
 
 // decodeDiff parses an encodeDiff payload back into page id and runs.
-func decodeDiff(b []byte) (reqID uint32, pg core.PageID, runs []core.Run, err error) {
+func decodeDiff(b []byte) (reqID uint32, pg core.PageID, runs core.Runs, err error) {
 	if len(b) < 8 {
-		return 0, 0, nil, fmt.Errorf("rt: diff payload %d bytes", len(b))
+		return 0, 0, core.Runs{}, fmt.Errorf("rt: diff payload %d bytes", len(b))
 	}
 	reqID = u32(b)
 	pg = core.PageID(u32(b[4:]))
 	runs, rest, err := core.DecodeRuns(b[8:])
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("rt: diff payload: %w", err)
+		return 0, 0, core.Runs{}, fmt.Errorf("rt: diff payload: %w", err)
 	}
 	if len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("rt: %d trailing bytes after diff runs", len(rest))
+		return 0, 0, core.Runs{}, fmt.Errorf("rt: %d trailing bytes after diff runs", len(rest))
 	}
 	return reqID, pg, runs, nil
 }
