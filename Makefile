@@ -5,7 +5,7 @@ GO ?= go
 ## check: the pre-commit gate (mirrors .github/workflows/ci.yml) — gofmt,
 ## vet, build, race-test everything, verify the golden trace, a one-iteration
 ## pass over every benchmark so the perf kernels stay honest, ten seconds
-## of fuzzing per diff kernel, the chaos
+## of fuzzing per diff and memsim kernel, the chaos
 ## suite under fault injection, the engine-worker determinism guard, the
 ## TCP flake detector, the multi-process cluster smoke against the
 ## simulator oracle, the 256-node scale smoke, the metrics regression
@@ -47,14 +47,17 @@ golden-trace:
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
-## fuzz-smoke: ten seconds of coverage-guided fuzzing per diff kernel:
+## fuzz-smoke: ten seconds of coverage-guided fuzzing per kernel:
 ## FuzzMakeDiff checks the word-at-a-time scan against the byte-wise
 ## reference through the wire codec and Apply, FuzzDecodeRuns feeds the
-## decoder arbitrary bytes (no panic, allocation bounded by its input).
-## Plain `go test` runs their seed corpora.
+## decoder arbitrary bytes (no panic, allocation bounded by its input),
+## FuzzAccessRange checks memsim's shortcut access paths against the
+## full-walk reference (costs, counters and LRU order). Plain `go test`
+## runs their seed corpora.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMakeDiff$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeRuns$$' -fuzztime=10s
+	$(GO) test ./internal/memsim -run '^$$' -fuzz '^FuzzAccessRange$$' -fuzztime=10s
 
 ## chaos: the fault-injection suite — every app across the drop-rate
 ## table plus the fixed-corpus schedule fuzzer, all with the protocol

@@ -110,6 +110,8 @@ func runPerf(out io.Writer, size apps.Size, workers int, jsonPath string, progre
 		micro("MakeDiff/clean", benchMakeDiff(cleanPage)),
 		micro("DiffApply", benchDiffApply()),
 		micro("MemsimSweep", benchMemsimSweep()),
+		micro("MemsimRange", benchMemsimRange()),
+		micro("MemsimRandom", benchMemsimRandom()),
 		micro("ReadRange/scalar", benchSpanRead(false)),
 		micro("ReadRange/span", benchSpanRead(true)),
 		micro("WriteRange/scalar", benchSpanWrite(false)),
@@ -273,6 +275,31 @@ func benchMemsimSweep() testing.BenchmarkResult {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sys.Access(uint64(i%(1<<20)) * 8)
+		}
+	})
+}
+
+// benchMemsimRange is one 8 KB AccessRange, the charge of a twin, a
+// diff creation or a whole-page install, cycling over 16 pages.
+func benchMemsimRange() testing.BenchmarkResult {
+	sys := memsim.NewSystem(memsim.SP2Params())
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys.AccessRange(uint64(i%16)<<13, 8<<10)
+		}
+	})
+}
+
+// benchMemsimRandom is one Access at a pseudo-random address in 1 MB:
+// no memo applies, so every access walks the tag arrays and most miss.
+func benchMemsimRandom() testing.BenchmarkResult {
+	sys := memsim.NewSystem(memsim.SP2Params())
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x := uint64(i)*6364136223846793005 + 1442695040888963407
+			sys.Access((x >> 11) % (1 << 20))
 		}
 	})
 }

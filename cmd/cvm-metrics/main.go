@@ -172,6 +172,10 @@ var allocCaps = map[string]int64{
 	"DiffEncode/sparse": 4,
 	"DiffEncode/dense":  4,
 	"DiffDecode/sparse": 2,
+	// memsim walks tag arrays allocated once per node: a whole-page
+	// range and a full tag walk allocate nothing.
+	"MemsimRange":  0,
+	"MemsimRandom": 0,
 }
 
 // wireRatioCaps are absolute encoded/raw ceilings per diff wire pattern,

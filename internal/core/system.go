@@ -157,6 +157,12 @@ func (c *Config) Validate() error {
 	if (c.Adapt || c.Migrate) && c.Protocol != ProtocolLRC {
 		return errors.New("core: Adapt/Migrate require the multi-writer LRC protocol")
 	}
+	// NewSystem runs memsim with the coherence page as its VM page.
+	mem := c.Mem
+	mem.PageSize = c.PageSize
+	if err := mem.Validate(); err != nil {
+		return fmt.Errorf("core: Mem: %w", err)
+	}
 	return nil
 }
 

@@ -39,6 +39,9 @@ func TestConfigValidate(t *testing.T) {
 		{"zero threads", func(c *Config) { c.ThreadsPerNode = 0 }, false},
 		{"odd page size", func(c *Config) { c.PageSize = 1000 }, false},
 		{"tiny page size", func(c *Config) { c.PageSize = 32 }, false},
+		{"non-power-of-two line", func(c *Config) { c.Mem.LineSize = 48 }, false},
+		{"line larger than page", func(c *Config) { c.PageSize, c.Mem.LineSize = 64, 128 }, false},
+		{"mem page size overridden", func(c *Config) { c.Mem.PageSize = 12 << 10 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -13,7 +13,11 @@
 // the paper observes.
 package memsim
 
-import "cvm/internal/sim"
+import (
+	"fmt"
+
+	"cvm/internal/sim"
+)
 
 // Params describes one node's memory system.
 type Params struct {
@@ -67,6 +71,40 @@ func AlphaParams() Params {
 	return p
 }
 
+// Validate reports a geometry the model cannot represent exactly. Line
+// and page sizes must be powers of two, since addresses are split into
+// line and page numbers by shifts; every set count must be a power of
+// two, since a key's set is its low bits; every associativity must be
+// at least one; a page must hold whole lines; and the cache must hold
+// whole sets.
+func (p Params) Validate() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	switch {
+	case !pow2(p.LineSize):
+		return fmt.Errorf("memsim: LineSize %d is not a power of two", p.LineSize)
+	case !pow2(p.PageSize):
+		return fmt.Errorf("memsim: PageSize %d is not a power of two", p.PageSize)
+	case p.PageSize < p.LineSize:
+		return fmt.Errorf("memsim: PageSize %d is smaller than LineSize %d", p.PageSize, p.LineSize)
+	case p.CacheWays < 1:
+		return fmt.Errorf("memsim: CacheWays %d must be at least 1", p.CacheWays)
+	case p.DTLBWays < 1:
+		return fmt.Errorf("memsim: DTLBWays %d must be at least 1", p.DTLBWays)
+	case p.ITLBWays < 1:
+		return fmt.Errorf("memsim: ITLBWays %d must be at least 1", p.ITLBWays)
+	case !pow2(p.DTLBSets):
+		return fmt.Errorf("memsim: DTLBSets %d is not a power of two", p.DTLBSets)
+	case !pow2(p.ITLBSets):
+		return fmt.Errorf("memsim: ITLBSets %d is not a power of two", p.ITLBSets)
+	}
+	setBytes := p.LineSize * p.CacheWays
+	if sets := p.CacheSize / setBytes; p.CacheSize%setBytes != 0 || !pow2(sets) {
+		return fmt.Errorf("memsim: CacheSize %d is not a power-of-two number of %d-byte sets (LineSize × CacheWays)",
+			p.CacheSize, setBytes)
+	}
+	return nil
+}
+
 // Stats holds cumulative counters for one node's memory system.
 type Stats struct {
 	Accesses     int64
@@ -86,9 +124,10 @@ func (s *Stats) Add(other Stats) {
 // assoc is a set-associative tag array with per-set LRU replacement. It
 // backs both the cache and the TLBs. The tag and stamp arrays are slices
 // of one shared backing array (see System.Init), so a whole hierarchy
-// costs a single allocation.
+// costs a single allocation. The set count is a power of two
+// (Params.Validate), so a key's set is its low bits, key & mask.
 type assoc struct {
-	sets  int
+	mask  uint64 // sets-1
 	ways  int
 	tags  []uint64 // sets*ways entries; tag 0 means empty (tags stored +1)
 	stamp []uint64 // LRU stamps, parallel to tags
@@ -97,39 +136,49 @@ type assoc struct {
 
 func (a *assoc) init(sets, ways int, backing []uint64) {
 	n := sets * ways
-	a.sets = sets
+	a.mask = uint64(sets - 1)
 	a.ways = ways
 	a.tags = backing[:n:n]
 	a.stamp = backing[n : 2*n : 2*n]
 }
 
 // touch looks up key; it returns true on hit. On miss the LRU way of the
-// set is replaced.
+// set (the first way holding the set's least stamp) is replaced. Both
+// scans run over every way without early exit, so they compile to
+// conditional moves: which way hits, and which is oldest, is data the
+// host cannot predict.
 func (a *assoc) touch(key uint64) bool {
-	set := int(key % uint64(a.sets))
-	base := set * a.ways
+	base := int(key&a.mask) * a.ways
 	a.tick++
 	stored := key + 1
-	victim := base
-	for i := base; i < base+a.ways; i++ {
-		if a.tags[i] == stored {
-			a.stamp[i] = a.tick
-			return true
-		}
-		if a.stamp[i] < a.stamp[victim] {
-			victim = i
+	tags := a.tags[base : base+a.ways]
+	stamps := a.stamp[base : base+a.ways]
+	hit := -1
+	for i, t := range tags {
+		if t == stored {
+			hit = i
 		}
 	}
-	a.tags[victim] = stored
-	a.stamp[victim] = a.tick
+	if hit >= 0 {
+		stamps[hit] = a.tick
+		return true
+	}
+	victim, oldest := 0, stamps[0]
+	for i, st := range stamps {
+		if st < oldest {
+			victim, oldest = i, st
+		}
+	}
+	tags[victim] = stored
+	stamps[victim] = a.tick
 	return false
 }
 
 // find returns the way index currently holding key, or -1.
 func (a *assoc) find(key uint64) int {
-	set := int(key % uint64(a.sets))
+	base := int(key&a.mask) * a.ways
 	stored := key + 1
-	for i := set * a.ways; i < (set+1)*a.ways; i++ {
+	for i := base; i < base+a.ways; i++ {
 		if a.tags[i] == stored {
 			return i
 		}
@@ -149,17 +198,19 @@ type System struct {
 	lineShift uint
 	pageShift uint
 
-	// lastLine/lastPage memoize the previous data access for the
-	// contiguous-sweep fast path (see Access). noMemo disables the fast
-	// path; equivalence tests use it to check miss counts are identical.
+	// lastLine/lastPage are the line and page of the previous data
+	// access: the cache line and D-TLB entry it touched last, which are
+	// therefore resident and most recently used in their sets (see
+	// Access). noMemo disables every shortcut that rests on them;
+	// equivalence tests use it as the plain full-walk reference.
 	lastLine uint64
 	lastPage uint64
 	noMemo   bool
 }
 
-// invalidLine is a line tag no real access can produce (addresses are
-// below 2^42), marking the memo empty.
-const invalidLine = ^uint64(0)
+// invalidKey is a line or page tag no real access can produce (addresses
+// are below 2^42), marking the memo empty.
+const invalidKey = ^uint64(0)
 
 // NewSystem returns a memory system with the given geometry.
 func NewSystem(p Params) *System {
@@ -171,8 +222,11 @@ func NewSystem(p Params) *System {
 // Init configures s in place with the given geometry, replacing any
 // previous state. It exists so a System can be embedded by value in a
 // larger per-node structure; the whole hierarchy then costs one backing
-// allocation.
+// allocation. It panics if p fails Validate.
 func (s *System) Init(p Params) {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	cacheSets := p.CacheSize / (p.LineSize * p.CacheWays)
 	nc := cacheSets * p.CacheWays
 	nd := p.DTLBSets * p.DTLBWays
@@ -182,7 +236,8 @@ func (s *System) Init(p Params) {
 		params:    p,
 		lineShift: log2(p.LineSize),
 		pageShift: log2(p.PageSize),
-		lastLine:  invalidLine,
+		lastLine:  invalidKey,
+		lastPage:  invalidKey,
 	}
 	s.dcache.init(cacheSets, p.CacheWays, backing[:2*nc])
 	s.dtlb.init(p.DTLBSets, p.DTLBWays, backing[2*nc:2*(nc+nd)])
@@ -201,33 +256,40 @@ func (s *System) ResetStats() { s.stats = Stats{} }
 // Access simulates one data access at the given virtual address and
 // returns the time cost to charge to the accessing thread.
 //
-// Consecutive accesses to the same cache line take a batched fast path:
-// the previous access left the line resident and its page mapped, so the
-// access is a guaranteed double hit and the set-associative LRU walks are
-// skipped. A contiguous typed-array sweep therefore pays the tag-array
-// simulation once per line rather than once per element. Miss counts and
-// charged costs are bit-identical to the slow path (skipping a touch of
-// the just-touched — and therefore most-recent — way preserves the
-// relative LRU order of every set; TestAccessMemoEquivalence checks this
-// against the memo-disabled reference).
+// Two shortcuts skip tag-array walks whose outcome is already known.
+// An access to the previous access's cache line is a guaranteed double
+// hit (the line is resident and, since PageSize ≥ LineSize, so is its
+// page), so a contiguous sweep pays the walk once per line rather than
+// once per element. An access to the previous access's page skips the
+// D-TLB walk: that page is the D-TLB's most recently touched entry. Miss
+// counts and charged costs are bit-identical to the full walk: skipping
+// a touch of the most recent way of a set leaves the relative LRU order
+// of every set unchanged (TestAccessMemoEquivalence checks this against
+// the noMemo reference).
 func (s *System) Access(addr uint64) sim.Time {
 	line := addr >> s.lineShift
-	pg := addr >> s.pageShift
-	if line == s.lastLine && pg == s.lastPage && !s.noMemo {
-		s.stats.Accesses++
+	s.stats.Accesses++
+	if line == s.lastLine && !s.noMemo {
 		return s.params.HitCost
 	}
+	return s.touchLine(line, addr>>s.pageShift)
+}
+
+// touchLine runs the tag-array walks of one access to line in page pg,
+// except Accesses++, and returns its cost.
+func (s *System) touchLine(line, pg uint64) sim.Time {
 	s.lastLine = line
-	s.lastPage = pg
-	s.stats.Accesses++
 	cost := s.params.HitCost
 	if !s.dcache.touch(line) {
 		s.stats.DCacheMisses++
 		cost += s.params.CacheMissPen
 	}
-	if !s.dtlb.touch(pg) {
-		s.stats.DTLBMisses++
-		cost += s.params.TLBMissPen
+	if pg != s.lastPage || s.noMemo {
+		s.lastPage = pg
+		if !s.dtlb.touch(pg) {
+			s.stats.DTLBMisses++
+			cost += s.params.TLBMissPen
+		}
 	}
 	return cost
 }
@@ -236,13 +298,11 @@ func (s *System) Access(addr uint64) sim.Time {
 // addr (a typed-array span) and returns the total cost. Counters, costs,
 // and replacement state are bit-identical to cnt scalar Access calls:
 // after the first access of a cache line, the scalar path's remaining
-// accesses in that line are guaranteed memo hits (same line, same page),
-// so their effect — Accesses++ and HitCost each, no tag-array activity —
-// is applied in bulk without re-running the per-access checks.
+// accesses in that line are guaranteed memo hits (same line), so their
+// effect — Accesses++ and HitCost each, no tag-array activity — is
+// applied in bulk without re-running the per-access checks.
 func (s *System) AccessStride8(addr uint64, cnt int) sim.Time {
-	if s.noMemo || s.lineShift < 3 || s.pageShift < s.lineShift {
-		// Geometry where same-line does not imply the memo shortcut;
-		// replay the scalar sequence.
+	if s.noMemo {
 		var cost sim.Time
 		for i := 0; i < cnt; i++ {
 			cost += s.Access(addr + uint64(i)*8)
@@ -269,13 +329,22 @@ func (s *System) AccessStride8(addr uint64, cnt int) sim.Time {
 }
 
 // AccessRange simulates a sequential multi-byte access (e.g. a block copy)
-// touching every line in [addr, addr+n).
+// touching every line in [addr, addr+n), with the counters, cost and
+// memo state of one Access per line. Only the first line can repeat the
+// previous access's line, so the lines after it skip the memo test and
+// go straight to the tag walks, and the D-TLB is walked at most once
+// per page the range enters (every line under noMemo).
 func (s *System) AccessRange(addr uint64, n int) sim.Time {
-	var cost sim.Time
 	line := uint64(s.params.LineSize)
-	first := addr &^ (line - 1)
-	for a := first; a < addr+uint64(n); a += line {
-		cost += s.Access(a)
+	a := addr &^ (line - 1)
+	end := addr + uint64(n)
+	if a >= end {
+		return 0
+	}
+	cost := s.Access(a)
+	for a += line; a < end; a += line {
+		s.stats.Accesses++
+		cost += s.touchLine(a>>s.lineShift, a>>s.pageShift)
 	}
 	return cost
 }
@@ -332,7 +401,7 @@ func (s *System) InstrTouchCycle(base uint64, mod, start, cnt int) sim.Time {
 // has ways. Consecutive keys spread round-robin over sets, so the
 // per-set population is at most ceil(mod/sets).
 func (s *System) itlbCycleSafe(mod int) bool {
-	sets := s.itlb.sets
+	sets := int(s.itlb.mask) + 1
 	return (mod+sets-1)/sets <= s.itlb.ways
 }
 

@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -401,5 +403,55 @@ func TestInstrTouchCycleEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestParamsValidate(t *testing.T) {
+	with := func(edit func(*Params)) Params {
+		p := SP2Params()
+		edit(&p)
+		return p
+	}
+	cases := []struct {
+		name  string
+		p     Params
+		field string // "" means valid
+	}{
+		{"sp2", SP2Params(), ""},
+		{"alpha", AlphaParams(), ""},
+		{"line size 48", with(func(p *Params) { p.LineSize = 48 }), "LineSize"},
+		{"line size 0", with(func(p *Params) { p.LineSize = 0 }), "LineSize"},
+		{"page size 12k", with(func(p *Params) { p.PageSize = 12 << 10 }), "PageSize"},
+		{"page below line", with(func(p *Params) { p.PageSize = 32 }), "PageSize"},
+		{"zero cache ways", with(func(p *Params) { p.CacheWays = 0 }), "CacheWays"},
+		{"zero D-TLB ways", with(func(p *Params) { p.DTLBWays = 0 }), "DTLBWays"},
+		{"zero I-TLB ways", with(func(p *Params) { p.ITLBWays = 0 }), "ITLBWays"},
+		{"6 D-TLB sets", with(func(p *Params) { p.DTLBSets = 6 }), "DTLBSets"},
+		{"0 I-TLB sets", with(func(p *Params) { p.ITLBSets = 0 }), "ITLBSets"},
+		{"3-way 32 KB cache", with(func(p *Params) { p.CacheWays = 3 }), "CacheSize"},
+		{"48 KB cache", with(func(p *Params) { p.CacheSize = 48 << 10 }), "CacheSize"},
+		{"3-way 48 KB cache", with(func(p *Params) { p.CacheWays, p.CacheSize = 3, 48<<10 }), ""},
+		{"one-line pages", with(func(p *Params) { p.PageSize = 64 }), ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.p.Validate()
+			if c.field == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				NewSystem(c.p)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("Validate() = %v, want an error naming %s", err, c.field)
+			}
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != err.Error() {
+					t.Errorf("NewSystem panicked with %v, want %q", r, err)
+				}
+			}()
+			NewSystem(c.p)
+		})
 	}
 }

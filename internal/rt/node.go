@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -45,9 +46,12 @@ type rnode struct {
 	tok   sync.Mutex
 	cache map[core.PageID]*rpage
 	dirty []core.PageID // pages in cache with a twin
-	// diffScratch holds MakeDiff's reused scan buffers; each flush
-	// encodes straight from it, so a diff allocates no runs.
+	// diffScratch holds MakeDiff's reused scan buffers and wireScratch
+	// the reused encode buffer: a flush encodes the runs from one into
+	// the other and sends an exact-size copy, so a diff allocates only
+	// its payload.
 	diffScratch core.Runs
+	wireScratch []byte
 	// epoch is bumped by invalidate; stale fetches re-request. Writes
 	// happen under tok, but Status reads it without, hence atomic.
 	epoch atomic.Uint64
@@ -197,17 +201,19 @@ func (n *rnode) dispatch() {
 
 func (n *rnode) handle(m transport.Message) {
 	p := m.Payload
+	if int(m.Type) < len(minPayload) && len(p) < minPayload[m.Type] ||
+		m.Type == msgPageRep && len(p) != 8+n.c.cfg.PageSize {
+		n.setFail(fmt.Errorf("malformed message type %d from node %d: %d-byte payload",
+			m.Type, m.From, len(p)))
+		return
+	}
 	switch m.Type {
 	case msgPageReq:
-		if len(p) < 8 {
-			n.setFail(fmt.Errorf("rt: node %d: short page request (%d bytes)", n.self, len(p)))
-			return
-		}
 		reqID, pg := u32(p), core.PageID(u32(p[4:]))
 		n.hmu.Lock()
-		data := append([]byte(nil), n.masterPage(pg)...)
+		rep := encodePageRep(reqID, pg, n.masterPage(pg))
 		n.hmu.Unlock()
-		n.send(int(m.From), msgPageRep, encodePageRep(reqID, pg, data))
+		n.send(int(m.From), msgPageRep, rep)
 	case msgPageRep:
 		n.deliver(u32(p), p[8:])
 	case msgDiffReq:
@@ -246,8 +252,7 @@ func (n *rnode) handle(m transport.Message) {
 	case msgRedRelease:
 		n.redRelease(u32(p), math.Float64frombits(u64(p[4:])))
 	default:
-		n.setFail(fmt.Errorf("rt: node %d: unknown message type %d from node %d",
-			n.self, m.Type, m.From))
+		n.setFail(fmt.Errorf("unknown message type %d from node %d", m.Type, m.From))
 	}
 }
 
@@ -282,7 +287,7 @@ func (n *rnode) deliver(reqID uint32, payload []byte) {
 	delete(n.pending, reqID)
 	n.pmu.Unlock()
 	if ch == nil {
-		n.setFail(fmt.Errorf("rt: node %d: reply for unknown request %d", n.self, reqID))
+		n.setFail(fmt.Errorf("reply for unknown request %d", reqID))
 		return
 	}
 	ch <- payload
@@ -410,7 +415,8 @@ func (n *rnode) flushOnce() {
 			continue
 		}
 		reqID, ch := n.newPending()
-		payload := encodeDiff(reqID, pg, n.diffScratch)
+		n.wireScratch = encodeDiff(n.wireScratch, reqID, pg, n.diffScratch)
+		payload := bytes.Clone(n.wireScratch)
 		// The diff's wire size: the encoded runs, excluding the
 		// reqID+page request header.
 		n.observe(func(m *metrics.Registry) { m.Node(n.self).DiffBytes.Observe(int64(len(payload) - 8)) })

@@ -40,6 +40,24 @@ func classOf(typ uint8) transport.Class {
 	}
 }
 
+// minPayload is each message type's shortest well-formed payload. The
+// dispatcher checks it before reading any field, so a truncated frame
+// fails the node instead of panicking the process. A page reply must
+// moreover carry exactly one page.
+var minPayload = [...]int{
+	msgPageReq:    8,
+	msgPageRep:    8,
+	msgDiffReq:    8,
+	msgDiffAck:    4,
+	msgLockReq:    8,
+	msgLockGrant:  4,
+	msgLockRel:    4,
+	msgBarArrive:  4,
+	msgBarRelease: 4,
+	msgRedArrive:  13,
+	msgRedRelease: 12,
+}
+
 // Payload encoding is little-endian fixed-width fields, mirroring the
 // page data encoding the Worker accessors use.
 
@@ -61,22 +79,25 @@ func encodeReq(reqID, arg uint32) []byte {
 	return putU32(putU32(make([]byte, 0, 8), reqID), arg)
 }
 
-// encodePageRep builds a page reply: reqID, page id, page contents.
-func encodePageRep(reqID uint32, pg core.PageID, data []byte) []byte {
-	b := make([]byte, 0, 8+len(data))
-	b = putU32(b, reqID)
-	b = putU32(b, uint32(pg))
-	return append(b, data...)
+// encodePageRep builds a page reply: reqID, page id, page contents. The
+// page is copied straight into the reply, which the requester keeps as
+// its cached copy.
+func encodePageRep(reqID uint32, pg core.PageID, page []byte) []byte {
+	b := make([]byte, 8+len(page))
+	binary.LittleEndian.PutUint32(b, reqID)
+	binary.LittleEndian.PutUint32(b[4:], uint32(pg))
+	copy(b[8:], page)
+	return b
 }
 
-// encodeDiff builds a diff flush: reqID, page id, then the runs in the
-// compressed wire form (run-length + xor8 prefilter, core.EncodeRuns).
-// The encoding is self-contained, so the home can decode it regardless
-// of its own page contents, and decoding returns exactly the runs
-// core.MakeDiff produced.
-func encodeDiff(reqID uint32, pg core.PageID, runs core.Runs) []byte {
-	b := make([]byte, 0, 64)
-	b = putU32(b, reqID)
+// encodeDiff builds a diff flush in dst's storage and returns it: reqID,
+// page id, then the runs in the compressed wire form (run-length + xor8
+// prefilter, core.EncodeRuns). The encoding is self-contained, so the
+// home can decode it regardless of its own page contents, and decoding
+// returns exactly the runs core.MakeDiff produced. Transports may hold
+// on to a sent payload, so a caller reusing dst sends a copy.
+func encodeDiff(dst []byte, reqID uint32, pg core.PageID, runs core.Runs) []byte {
+	b := putU32(dst[:0], reqID)
 	b = putU32(b, uint32(pg))
 	return core.EncodeRuns(b, runs)
 }
